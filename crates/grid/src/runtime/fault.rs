@@ -7,8 +7,14 @@
 //! sequence number)`: two runs with the same seed make exactly the same
 //! per-link decisions, no matter how the OS schedules the threads. The
 //! plan decorates a link as a [`FaultyEndpoint`], which applies the
-//! decisions on the participant's own thread (an injected delay stalls
-//! only that link, never the broker pump).
+//! decisions on the participant's side of the link.
+//!
+//! Latency is injected on logical time, not the wall clock: a
+//! [`FaultDecision::Delay`] stalls its link for a fixed number of that
+//! link's own receive polls. A stalled non-blocking receive reports
+//! [`GridError::Empty`], so a scheduled participant parks and its worker
+//! moves on; no thread ever sleeps on an injected fault, and the broker
+//! pump and every other link keep flowing.
 //!
 //! Fault decisions are keyed per link rather than per run because a
 //! participant link carries exactly one session's protocol sequence:
@@ -45,8 +51,32 @@ pub enum FaultDecision {
     /// unswapped at the link's next receive or close, so a lone trailing
     /// message can delay but never deadlock its session.
     Reorder,
-    /// Deliver after sleeping this many microseconds.
+    /// Deliver late: the drawn latency, in microseconds, is logged as
+    /// [`FaultEvent::Delayed`] and stalls the link for ⌈micros / 100⌉ of
+    /// its own receive polls ([`stall_polls`](Self::stall_polls); 1–5
+    /// for the chaos preset). While stalled, a non-blocking receive
+    /// reports [`GridError::Empty`] and sends queue behind the stall.
+    /// The poll after the last stalled one releases the queued sends and
+    /// then delivers a delayed inbound message, each in its original
+    /// order; a blocking receive ends the stall at once. A delay drawn
+    /// while the link is already stalled adds its polls to the stall.
     Delay(u32),
+}
+
+/// Microseconds of drawn latency one stalled receive poll stands for.
+const MICROS_PER_STALL_POLL: u32 = 100;
+
+impl FaultDecision {
+    /// How many of its link's receive polls this decision stalls the
+    /// link for: ⌈micros / 100⌉ for a [`Delay`](Self::Delay), zero for
+    /// every other decision.
+    #[must_use]
+    pub const fn stall_polls(self) -> u32 {
+        match self {
+            FaultDecision::Delay(micros) => micros.div_ceil(MICROS_PER_STALL_POLL),
+            _ => 0,
+        }
+    }
 }
 
 /// A seeded, replayable fault schedule for a whole campaign.
@@ -67,7 +97,8 @@ pub struct FaultPlan {
     pub reorder_per_1024: u16,
     /// Upper bound on injected per-message latency, in microseconds
     /// (0 disables latency injection). Each delayed message draws a
-    /// deterministic duration in `[0, max]`.
+    /// deterministic duration in `[0, max]`, which is logged and stalls
+    /// the link for [`FaultDecision::stall_polls`] receive polls.
     pub max_delay_micros: u32,
     /// Probability (parts per 1024) that a link's participant crashes at
     /// a seeded point mid-session (and loses any held messages).
@@ -90,7 +121,8 @@ impl FaultPlan {
     }
 
     /// The default chaos preset: ~3% duplication, ~6% reordering and up
-    /// to 500 µs of injected latency per message. No drops and no
+    /// to 500 µs of injected latency per message, a stall of one to five
+    /// of the link's receive polls. No drops and no
     /// crashes, so every session still completes (possibly failing fast
     /// with a typed error and being reassigned by the orchestrator).
     #[must_use]
@@ -304,17 +336,32 @@ struct FaultState {
     hold_out: Option<Message>,
     /// Inbound messages ready for delivery (duplicate copies).
     pending_in: VecDeque<(Message, u64)>,
+    /// Present only while an injected delay stalls the link. Boxed so an
+    /// unstalled link, the common case, carries one pointer.
+    stall: Option<Box<Stall>>,
+}
+
+/// What a stalled link holds back, and for how long.
+#[derive(Debug, Default)]
+struct Stall {
+    /// Non-blocking receive polls left that report [`GridError::Empty`].
+    polls: u32,
+    /// The delayed inbound message, delivered when the stall ends.
+    inbound: Option<(Message, u64)>,
+    /// Sends made while stalled, released in order when the stall ends.
+    outbound: Vec<Message>,
 }
 
 /// A [`GridLink`] decorator that applies a [`LinkFaults`] schedule.
 ///
-/// All fault decisions run on the caller's thread, so an injected delay
-/// stalls only this link. A seeded crash makes every subsequent operation
-/// fail with [`GridError::Disconnected`] and loses any held messages —
-/// from the peer's perspective the participant simply died. An outbound
-/// reorder hold is released by the next send (the swap), the next receive
-/// (the burst is over) or a clean drop, so the schedule delays messages
-/// but never strands one.
+/// All fault decisions run on the caller's thread, and an injected delay
+/// stalls only this link, for a number of its own receive polls (see
+/// [`FaultDecision::Delay`]). A seeded crash makes every subsequent
+/// operation fail with [`GridError::Disconnected`] and loses any held
+/// messages — from the peer's perspective the participant simply died.
+/// An outbound reorder hold is released by the next send (the swap), the
+/// next receive (the burst is over) or a clean drop, so the schedule
+/// delays messages but never strands one.
 #[derive(Debug)]
 pub struct FaultyEndpoint {
     inner: Endpoint,
@@ -373,6 +420,37 @@ impl FaultyEndpoint {
         Ok((msg, charged))
     }
 
+    /// Puts `msg` on the wire, or queues it behind a stall with the
+    /// charge the wire would have reported.
+    fn forward(&self, st: &mut FaultState, msg: &Message) -> Result<u64, GridError> {
+        match st.stall.as_mut() {
+            Some(stall) => {
+                stall.outbound.push(msg.clone());
+                Ok(msg.wire_len() + FRAME_HEADER_BYTES)
+            }
+            None => self.inner.send_counted(msg),
+        }
+    }
+
+    /// Stalls the link for `polls` more receive polls.
+    fn stall_for(st: &mut FaultState, polls: u32) -> &mut Stall {
+        let stall = st.stall.get_or_insert_with(Box::default);
+        stall.polls = stall.polls.saturating_add(polls);
+        stall
+    }
+
+    /// Ends a stall: releases its queued sends in order and hands back
+    /// the delayed inbound message, if any. Send failures are ignored,
+    /// as for a reorder hold: the peer may already be gone, and the
+    /// fault schedule was recorded when each message was sent.
+    fn end_stall(&self, st: &mut FaultState) -> Option<(Message, u64)> {
+        let stall = st.stall.take()?;
+        for msg in &stall.outbound {
+            let _ = self.inner.send_counted(msg);
+        }
+        stall.inbound
+    }
+
     /// Releases an outbound reorder hold. Called when the link turns
     /// around to receive (the burst is over — nothing left to swap with)
     /// and on clean drop, so a held trailing message is delayed, never
@@ -380,13 +458,13 @@ impl FaultyEndpoint {
     /// and the fault schedule was recorded when the hold was taken.
     fn flush_held_out(&self, st: &mut FaultState) {
         if let Some(held) = st.hold_out.take() {
-            let _ = self.inner.send(&held);
+            let _ = self.forward(st, &held);
         }
     }
 
     /// Applies the schedule to one freshly received message. `Ok(None)`
-    /// means the message was consumed (dropped or held) and the caller
-    /// should pull the next one.
+    /// means the message was consumed (dropped, or held by a stall) and
+    /// the caller should look again.
     fn admit_in(
         &self,
         st: &mut FaultState,
@@ -422,13 +500,50 @@ impl FaultyEndpoint {
                     seq,
                     micros,
                 });
-                // Stalls only this participant's thread: the broker pump
-                // and every other link keep flowing.
-                std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
-                self.deliver_in(st, msg, charged).map(Some)
+                Self::stall_for(st, FaultDecision::Delay(micros).stall_polls()).inbound =
+                    Some((msg, charged));
+                Ok(None)
             }
             FaultDecision::Deliver | FaultDecision::Reorder => {
                 self.deliver_in(st, msg, charged).map(Some)
+            }
+        }
+    }
+
+    /// One receive, blocking on the inner link or not. A non-blocking
+    /// receive counts down an active stall and reports
+    /// [`GridError::Empty`] until it runs out; a blocking one ends the
+    /// stall at once.
+    fn receive(&self, blocking: bool) -> Result<(Message, u64), GridError> {
+        loop {
+            let mut st = self.lock();
+            if st.crashed {
+                return Err(GridError::Disconnected);
+            }
+            // Turning around to receive ends the send burst: release any
+            // reorder hold before (possibly) blocking on the peer.
+            self.flush_held_out(&mut st);
+            if let Some(stall) = st.stall.as_mut() {
+                if !blocking && stall.polls > 0 {
+                    stall.polls -= 1;
+                    return Err(GridError::Empty);
+                }
+                if let Some((msg, charged)) = self.end_stall(&mut st) {
+                    return self.deliver_in(&mut st, msg, charged);
+                }
+            }
+            if let Some((msg, charged)) = st.pending_in.pop_front() {
+                return self.deliver_in(&mut st, msg, charged);
+            }
+            drop(st);
+            let (msg, charged) = if blocking {
+                self.inner.recv_counted()?
+            } else {
+                self.inner.try_recv_counted()?
+            };
+            let mut st = self.lock();
+            if let Some(delivery) = self.admit_in(&mut st, msg, charged)? {
+                return Ok(delivery);
             }
         }
     }
@@ -461,7 +576,7 @@ impl GridLink for FaultyEndpoint {
                     direction,
                     seq,
                 });
-                self.inner.send_counted(msg)?;
+                self.forward(&mut st, msg)?;
             }
             FaultDecision::Reorder if st.hold_out.is_none() => {
                 self.log.push(FaultEvent::Reordered {
@@ -479,64 +594,24 @@ impl GridLink for FaultyEndpoint {
                     seq,
                     micros,
                 });
-                std::thread::sleep(std::time::Duration::from_micros(u64::from(micros)));
+                Self::stall_for(&mut st, FaultDecision::Delay(micros).stall_polls());
             }
             FaultDecision::Deliver | FaultDecision::Reorder => {}
         }
-        let charged = self.inner.send_counted(msg)?;
+        let charged = self.forward(&mut st, msg)?;
         // The adjacent swap completes: the held predecessor follows.
         if let Some(held) = st.hold_out.take() {
-            self.inner.send_counted(&held)?;
+            self.forward(&mut st, &held)?;
         }
         Ok(charged)
     }
 
     fn recv_counted(&self) -> Result<(Message, u64), GridError> {
-        loop {
-            let mut st = self.lock();
-            if st.crashed {
-                return Err(GridError::Disconnected);
-            }
-            // Turning around to receive ends the send burst: release any
-            // reorder hold before (possibly) blocking on the peer.
-            self.flush_held_out(&mut st);
-            if let Some((msg, charged)) = st.pending_in.pop_front() {
-                return self.deliver_in(&mut st, msg, charged);
-            }
-            drop(st);
-            match self.inner.recv_counted() {
-                Ok((msg, charged)) => {
-                    let mut st = self.lock();
-                    if let Some(delivery) = self.admit_in(&mut st, msg, charged)? {
-                        return Ok(delivery);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.receive(true)
     }
 
     fn try_recv_counted(&self) -> Result<(Message, u64), GridError> {
-        loop {
-            let mut st = self.lock();
-            if st.crashed {
-                return Err(GridError::Disconnected);
-            }
-            self.flush_held_out(&mut st);
-            if let Some((msg, charged)) = st.pending_in.pop_front() {
-                return self.deliver_in(&mut st, msg, charged);
-            }
-            drop(st);
-            match self.inner.try_recv_counted() {
-                Ok((msg, charged)) => {
-                    let mut st = self.lock();
-                    if let Some(delivery) = self.admit_in(&mut st, msg, charged)? {
-                        return Ok(delivery);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.receive(false)
     }
 
     fn stats(&self) -> LinkStats {
@@ -546,10 +621,12 @@ impl GridLink for FaultyEndpoint {
 
 impl Drop for FaultyEndpoint {
     fn drop(&mut self) {
-        let st = self.state.get_mut().expect("fault state poisoned");
+        let mut st = std::mem::take(self.state.get_mut().expect("fault state poisoned"));
         // A crashed participant loses its held mail; a clean shutdown
-        // flushes it (the peer may still be waiting on that verdict).
+        // flushes it (the peer may still be waiting on that verdict):
+        // first the sends queued behind a stall, then a reorder hold.
         if !st.crashed {
+            let _ = self.end_stall(&mut st);
             if let Some(held) = st.hold_out.take() {
                 let _ = self.inner.send(&held);
             }

@@ -59,6 +59,10 @@
 //! * **Completion** — [`TaskPoll::Complete`] removes the task; the run
 //!   ends when none remain, and [`GridScheduler::run`] hands every task
 //!   back in its original order so callers can harvest results.
+//! * **Panics** — a worker unwinding out of a task's `poll` flags the
+//!   pool on its way out, the other workers return, and
+//!   [`GridScheduler::run`] re-raises the panic instead of waiting for a
+//!   task that can never complete.
 //!
 //! Determinism: the scheduler's only pseudo-randomness is the seeded
 //! steal order, and the fault-injection layer keys every decision on
@@ -105,7 +109,7 @@
 
 use crate::{Backoff, BackoffPolicy};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// What one [`GridTask::poll`] call accomplished.
@@ -159,6 +163,21 @@ struct Pool<T> {
     /// sleeping workers compare generations to reset their backoff the
     /// moment the pool is busy again.
     progress: AtomicU64,
+    /// Set when a worker unwinds out of a task's `poll`: that task can
+    /// never complete, so every other worker returns.
+    panicked: AtomicBool,
+}
+
+/// Flags the pool if its worker unwinds, so no survivor waits on the
+/// task that died with it.
+struct UnwindGuard<'a>(&'a AtomicBool);
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
 }
 
 /// One SplitMix64 step — the steal-order generator. Seeded and
@@ -261,12 +280,13 @@ impl GridScheduler {
     /// The pool spawns `min(workers, tasks.len())` scoped threads; the
     /// calling thread only coordinates. Tasks are dealt round-robin
     /// across the workers' ready queues up front; imbalance is repaired
-    /// by stealing. Panics in a task's `poll` propagate as a panic here
-    /// (the run cannot meaningfully continue).
+    /// by stealing. A panic in a task's `poll` stops every worker and
+    /// propagates here (the run cannot meaningfully continue).
     ///
     /// # Panics
     ///
-    /// If a task's `poll` panics.
+    /// If a task's `poll` panics: the first such panic is re-raised with
+    /// its original payload once every worker has returned.
     #[must_use]
     pub fn run<T: GridTask>(&self, tasks: Vec<T>) -> Vec<T> {
         if tasks.is_empty() {
@@ -288,18 +308,27 @@ impl GridScheduler {
             finished: Mutex::new((0..count).map(|_| None).collect()),
             remaining: AtomicUsize::new(count),
             progress: AtomicU64::new(0),
+            panicked: AtomicBool::new(false),
         };
-        std::thread::scope(|scope| {
+        let panic = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let pool = &pool;
                     scope.spawn(move || worker_loop(pool, me, self.steal_seed, self.backoff))
                 })
                 .collect();
+            // Join every worker before re-raising, keeping the first panic.
+            let mut panic = None;
             for handle in handles {
-                handle.join().expect("scheduler worker panicked");
+                if let Err(payload) = handle.join() {
+                    panic.get_or_insert(payload);
+                }
             }
+            panic
         });
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         let finished = pool.finished.into_inner().expect("finished list poisoned");
         finished
             .into_iter()
@@ -351,13 +380,15 @@ fn steal<T>(pool: &Pool<T>, me: usize, rng: &mut u64) -> Option<(usize, T)> {
 /// One worker: pop the local ready queue (stealing when it runs dry),
 /// poll the task outside any lock, act on the verdict; when no work is
 /// reachable anywhere, climb the backoff ladder and re-queue the local
-/// parked list in one batch.
+/// parked list in one batch. Returns when no task remains or another
+/// worker has panicked.
 fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: BackoffPolicy) {
+    let _guard = UnwindGuard(&pool.panicked);
     let mut backoff = Backoff::with_policy(policy);
     let mut seen = pool.progress.load(Ordering::Acquire);
     let mut rng = steal_rng(steal_seed, me);
     loop {
-        if pool.remaining.load(Ordering::Acquire) == 0 {
+        if pool.remaining.load(Ordering::Acquire) == 0 || pool.panicked.load(Ordering::Acquire) {
             return;
         }
         let job = {
@@ -652,11 +683,58 @@ mod tests {
             finished: Mutex::new(vec![None]),
             remaining: AtomicUsize::new(1),
             progress: AtomicU64::new(0),
+            panicked: AtomicBool::new(false),
         };
         worker_loop(&pool, 0, 0, BackoffPolicy::default());
         assert_eq!(pool.progress.load(Ordering::Acquire), 3);
         assert_eq!(pool.remaining.load(Ordering::Acquire), 0);
         assert!(pool.finished.lock().unwrap()[0].is_some());
+    }
+
+    #[test]
+    fn a_panicking_task_stops_the_pool_and_reraises() {
+        // One of 16 tasks panics on its third poll; the others wait on it
+        // forever, as a session does on a peer that died. Every pool size
+        // must return and re-raise the panic rather than spin on the
+        // survivors. The run sits on a helper thread behind a bounded
+        // wait, so a regression fails instead of hanging the suite.
+        struct MaybePanic {
+            polls: u32,
+            doomed: bool,
+        }
+        impl GridTask for MaybePanic {
+            fn poll(&mut self) -> TaskPoll {
+                self.polls += 1;
+                assert!(!(self.doomed && self.polls == 3), "participant blew up");
+                TaskPoll::Idle
+            }
+        }
+        for workers in [1, 2, 8] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let tasks: Vec<MaybePanic> = (0..16)
+                    .map(|i| MaybePanic {
+                        polls: 0,
+                        doomed: i == 5,
+                    })
+                    .collect();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    GridScheduler::new(workers).run(tasks)
+                }));
+                let message = outcome
+                    .err()
+                    .and_then(|payload| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()));
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{workers}-worker pool hung on a panicking task"));
+            assert_eq!(
+                message.as_deref(),
+                Some("participant blew up"),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

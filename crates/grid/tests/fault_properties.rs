@@ -1,11 +1,13 @@
 //! Properties of the deterministic fault-injection decorator: the same
 //! seed must reproduce the exact same delivery schedule and event log,
 //! and the zero-rate plan must be byte-for-byte invisible — these are the
-//! guarantees the chaos soak's replayability rests on.
+//! guarantees the chaos soak's replayability rests on. Injected delays
+//! stall a link for a few of its own receive polls, never the clock: a
+//! delay-only plan delivers exactly what the quiet plan does.
 
 use proptest::prelude::*;
 use ugc_grid::runtime::{FaultDecision, FaultEvent, FaultPlan, FaultyEndpoint, LinkDirection};
-use ugc_grid::{duplex, GridError, GridLink, Message};
+use ugc_grid::{duplex, GridError, GridLink, LinkStats, Message};
 
 /// Distinct, compact messages for scripted traffic.
 fn msg(i: u64) -> Message {
@@ -15,15 +17,22 @@ fn msg(i: u64) -> Message {
     }
 }
 
+/// What one scripted exchange over a decorated link observed.
+#[derive(Debug, PartialEq)]
+struct Run {
+    /// What the decorated side received, in order.
+    delivered: Vec<Message>,
+    /// What the raw peer received, in order.
+    peer_saw: Vec<Message>,
+    /// The recorded fault events.
+    events: Vec<FaultEvent>,
+    /// The decorated link's traffic counters once every stall has ended.
+    stats: LinkStats,
+}
+
 /// Pushes `inbound` messages at a decorated endpoint and sends `outbound`
-/// from it, returning what the decorated side received, what the raw peer
-/// received, and the recorded fault events.
-fn script(
-    plan: FaultPlan,
-    link_id: u64,
-    inbound: u64,
-    outbound: u64,
-) -> (Vec<Message>, Vec<Message>, Vec<FaultEvent>) {
+/// from it, then polls the decorated side through every injected stall.
+fn script(plan: FaultPlan, link_id: u64, inbound: u64, outbound: u64) -> Run {
     let (peer, raw) = duplex();
     let decorated = FaultyEndpoint::new(raw, plan.link(link_id));
     let log = decorated.log();
@@ -34,11 +43,26 @@ fn script(
         // May fail once a seeded crash latches; the schedule is the point.
         let _ = GridLink::send(&decorated, &msg(1000 + i));
     }
+    // Each message's delay stalls the link for at most this many polls,
+    // so a longer run of Empty polls means the link is drained.
+    let patience = 1
+        + (inbound + outbound)
+            * u64::from(FaultDecision::Delay(plan.max_delay_micros).stall_polls());
     let mut delivered = Vec::new();
-    // Drains until Empty, or Disconnected after a seeded crash.
-    while let Ok(m) = GridLink::try_recv(&decorated) {
-        delivered.push(m);
+    let mut empty_polls = 0;
+    // Drains until Empty outlasts every stall, or Disconnected after a
+    // seeded crash.
+    while empty_polls < patience {
+        match GridLink::try_recv(&decorated) {
+            Ok(m) => {
+                delivered.push(m);
+                empty_polls = 0;
+            }
+            Err(GridError::Empty) => empty_polls += 1,
+            Err(_) => break,
+        }
     }
+    let stats = GridLink::stats(&decorated);
     let mut peer_saw = Vec::new();
     while let Ok(m) = peer.try_recv() {
         peer_saw.push(m);
@@ -47,7 +71,12 @@ fn script(
     while let Ok(m) = peer.try_recv() {
         peer_saw.push(m);
     }
-    (delivered, peer_saw, log.snapshot())
+    Run {
+        delivered,
+        peer_saw,
+        events: log.snapshot(),
+        stats,
+    }
 }
 
 proptest! {
@@ -109,6 +138,7 @@ proptest! {
         drop_rate in 0u16..200,
         dup in 0u16..200,
         reorder in 0u16..200,
+        max_delay in 0u32..1000,
         crash in 0u16..1024,
         inbound in 0u64..24,
         outbound in 0u64..24,
@@ -118,12 +148,38 @@ proptest! {
             drop_per_1024: drop_rate,
             dup_per_1024: dup,
             reorder_per_1024: reorder,
-            max_delay_micros: 0, // keep the property test fast
+            max_delay_micros: max_delay,
             crash_per_1024: crash,
         };
         let first = script(plan, link, inbound, outbound);
         let second = script(plan, link, inbound, outbound);
         prop_assert_eq!(first, second);
+    }
+
+    #[test]
+    fn delay_only_plan_delivers_what_the_quiet_plan_does(
+        seed in any::<u64>(),
+        link in any::<u64>(),
+        max_delay in 1u32..1000,
+        inbound in 0u64..24,
+        outbound in 0u64..24,
+    ) {
+        let quiet = script(FaultPlan::quiet(seed), link, inbound, outbound);
+        let delayed = script(
+            FaultPlan { max_delay_micros: max_delay, ..FaultPlan::quiet(seed) },
+            link,
+            inbound,
+            outbound,
+        );
+        // The same messages, in the same order, in each direction, with
+        // byte-identical accounting: a delay only ever costs polls.
+        prop_assert_eq!(&delayed.delivered, &quiet.delivered);
+        prop_assert_eq!(&delayed.peer_saw, &quiet.peer_saw);
+        prop_assert_eq!(delayed.stats, quiet.stats);
+        prop_assert!(delayed
+            .events
+            .iter()
+            .all(|e| matches!(e, FaultEvent::Delayed { .. })));
     }
 
     #[test]
@@ -152,22 +208,22 @@ fn always_duplicate_delivers_everything_twice() {
         max_delay_micros: 0,
         crash_per_1024: 0,
     };
-    let (delivered, peer_saw, events) = script(plan, 0, 3, 2);
-    let ids: Vec<u64> = delivered.iter().map(Message::task_id).collect();
+    let run = script(plan, 0, 3, 2);
+    let ids: Vec<u64> = run.delivered.iter().map(Message::task_id).collect();
     assert_eq!(ids, vec![0, 0, 1, 1, 2, 2]);
-    let out_ids: Vec<u64> = peer_saw.iter().map(Message::task_id).collect();
+    let out_ids: Vec<u64> = run.peer_saw.iter().map(Message::task_id).collect();
     assert_eq!(out_ids, vec![1000, 1000, 1001, 1001]);
-    assert_eq!(events.len(), 5);
+    assert_eq!(run.events.len(), 5);
 }
 
 /// A plan whose every message drops: nothing is ever delivered.
 #[test]
 fn always_drop_delivers_nothing() {
     let plan = FaultPlan::quiet(9).with_drops(1024);
-    let (delivered, peer_saw, events) = script(plan, 7, 4, 3);
-    assert!(delivered.is_empty());
-    assert!(peer_saw.is_empty());
-    assert_eq!(events.len(), 7); // every message logged as dropped
+    let run = script(plan, 7, 4, 3);
+    assert!(run.delivered.is_empty());
+    assert!(run.peer_saw.is_empty());
+    assert_eq!(run.events.len(), 7); // every message logged as dropped
 }
 
 /// A plan whose every message reorders: outbound adjacent pairs swap (a
@@ -183,12 +239,12 @@ fn always_reorder_swaps_adjacent_outbound_messages() {
         max_delay_micros: 0,
         crash_per_1024: 0,
     };
-    let (delivered, peer_saw, _) = script(plan, 3, 4, 3);
-    let ids: Vec<u64> = delivered.iter().map(Message::task_id).collect();
+    let run = script(plan, 3, 4, 3);
+    let ids: Vec<u64> = run.delivered.iter().map(Message::task_id).collect();
     assert_eq!(ids, vec![0, 1, 2, 3], "inbound must never be held");
     // Outbound: 1000 held, 1001 sent + 1000 flushed behind it, 1002 held
     // and flushed by the first receive.
-    let out_ids: Vec<u64> = peer_saw.iter().map(Message::task_id).collect();
+    let out_ids: Vec<u64> = run.peer_saw.iter().map(Message::task_id).collect();
     assert_eq!(out_ids, vec![1001, 1000, 1002]);
 }
 
@@ -247,4 +303,85 @@ fn chaos_preset_is_lossless_by_default() {
         .filter(|&seq| faults.decision(LinkDirection::Inbound, seq) == FaultDecision::Drop)
         .count();
     assert!((350..650).contains(&drops), "drop rate off: {drops}/1000");
+}
+
+/// A delay maps to ⌈micros/100⌉ of the link's own receive polls.
+#[test]
+fn delay_stalls_for_its_micros_in_hundreds_of_polls() {
+    assert_eq!(FaultDecision::Delay(1).stall_polls(), 1);
+    assert_eq!(FaultDecision::Delay(100).stall_polls(), 1);
+    assert_eq!(FaultDecision::Delay(101).stall_polls(), 2);
+    assert_eq!(FaultDecision::Delay(500).stall_polls(), 5);
+    assert_eq!(FaultDecision::Deliver.stall_polls(), 0);
+    assert_eq!(FaultDecision::Reorder.stall_polls(), 0);
+
+    // Over real links, for every stall length the chaos preset can draw:
+    // a delayed inbound message costs exactly that many Empty polls,
+    // and a delayed send reaches the peer on the poll that ends them.
+    let delay_only = |seed| FaultPlan {
+        max_delay_micros: 500,
+        ..FaultPlan::quiet(seed)
+    };
+    for polls in 1..=5 {
+        let plan = (0..)
+            .map(delay_only)
+            .find(|plan| {
+                let decision = plan.link(0).decision(LinkDirection::Inbound, 0);
+                decision.stall_polls() == polls
+                    && plan.link(0).decision(LinkDirection::Outbound, 0) == decision
+            })
+            .unwrap();
+        let (peer, raw) = duplex();
+        let faulty = FaultyEndpoint::new(raw, plan.link(0));
+        peer.send(&msg(7)).unwrap();
+        for poll in 0..polls {
+            assert_eq!(
+                GridLink::try_recv(&faulty).unwrap_err(),
+                GridError::Empty,
+                "poll {poll} of a {polls}-poll stall"
+            );
+        }
+        assert_eq!(GridLink::try_recv(&faulty).unwrap().task_id(), 7);
+
+        GridLink::send(&faulty, &msg(8)).unwrap();
+        for _ in 0..polls {
+            assert_eq!(GridLink::try_recv(&faulty).unwrap_err(), GridError::Empty);
+            assert_eq!(peer.try_recv().unwrap_err(), GridError::Empty);
+        }
+        assert_eq!(GridLink::try_recv(&faulty).unwrap_err(), GridError::Empty);
+        assert_eq!(peer.try_recv().unwrap().task_id(), 8);
+        assert_eq!(faulty.log().snapshot().len(), 2);
+    }
+}
+
+/// A blocking receive ends a stall at once: the delayed message and the
+/// sends queued behind it go out immediately.
+#[test]
+fn blocking_recv_ends_a_stall_at_once() {
+    let plan = (0..)
+        .map(|seed| FaultPlan {
+            max_delay_micros: 500,
+            ..FaultPlan::quiet(seed)
+        })
+        .find(|plan| {
+            plan.link(0)
+                .decision(LinkDirection::Outbound, 0)
+                .stall_polls()
+                == 5
+                && plan
+                    .link(0)
+                    .decision(LinkDirection::Inbound, 0)
+                    .stall_polls()
+                    == 5
+        })
+        .unwrap();
+    let (peer, raw) = duplex();
+    let faulty = FaultyEndpoint::new(raw, plan.link(0));
+    GridLink::send(&faulty, &msg(1)).unwrap();
+    GridLink::send(&faulty, &msg(2)).unwrap();
+    assert_eq!(peer.try_recv().unwrap_err(), GridError::Empty);
+    peer.send(&msg(3)).unwrap();
+    assert_eq!(GridLink::recv(&faulty).unwrap().task_id(), 3);
+    assert_eq!(peer.try_recv().unwrap().task_id(), 1);
+    assert_eq!(peer.try_recv().unwrap().task_id(), 2);
 }

@@ -22,12 +22,13 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    chaos_link_id, run_mixed_fleet, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
-    SchemeError, VerificationScheme,
+    chaos_link_id, run_mixed_fleet, summary_digest, FleetSummary, FleetTransport, MemberSpec,
+    MixedFleetConfig, SchemeError, VerificationScheme,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
-    CheatSelection, GridError, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
+    CheatSelection, FaultEvent, GridError, HonestWorker, MaliciousWorker, SemiHonestCheater,
+    WorkerBehaviour,
 };
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -291,10 +292,11 @@ fn crashed_session_is_reassigned_and_recovers() {
     );
     assert_eq!(member.attempts, 2, "exactly one reassignment expected");
     assert!(
-        summary.fault_events.iter().any(
-            |e| matches!(e, uncheatable_grid::grid::FaultEvent::Crashed { link, .. }
-                if *link == chaos_link_id(0, 0))
-        ),
+        summary
+            .fault_events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Crashed { link, .. }
+                if *link == chaos_link_id(0, 0))),
         "the crash must be on the record: {:?}",
         summary.fault_events
     );
@@ -358,4 +360,106 @@ fn dropped_messages_time_out_and_reassignment_recovers() {
     let summary = run(1).expect("the retry must recover the session");
     assert!(summary.members[0].outcome.accepted);
     assert_eq!(summary.members[0].attempts, 2);
+}
+
+/// One chaos-plus-churn mixed fleet for the golden digests below: all
+/// five schemes, honest members and cheaters, duplication, reordering,
+/// latency and crash churn on every link, reassignment on failure.
+fn golden_campaign(chaos_seed: u64, transport: FleetTransport, workers: usize) -> String {
+    let task = PasswordSearch::with_hidden_password(5, 9);
+    let screener = AcceptAllScreener;
+    let honest = HonestWorker;
+    let lazy = SemiHonestCheater::new(0.25, CheatSelection::Scattered, ZeroGuesser::new(4), 21);
+    let malicious = MaliciousWorker::new(1.0, 22);
+    let cbs = CbsScheme {
+        samples: 16,
+        seed: 31,
+        report_audit: 2,
+    };
+    let ni = NiCbsScheme {
+        samples: 16,
+        g_iterations: 2,
+        report_audit: 0,
+        audit_seed: 32,
+    };
+    let naive = NaiveScheme {
+        samples: 16,
+        seed: 33,
+    };
+    let ringer = RingerScheme {
+        ringers: 6,
+        seed: 34,
+    };
+    let double_check = DoubleCheckScheme;
+    let specs = vec![
+        spec(&cbs, vec![&honest]),
+        spec(&cbs, vec![&lazy]),
+        spec(&ni, vec![&honest]),
+        spec(&ni, vec![&malicious]),
+        spec(&naive, vec![&honest]),
+        spec(&naive, vec![&lazy]),
+        spec(&ringer, vec![&honest]),
+        spec(&double_check, vec![&honest, &honest]),
+    ];
+    let summary = run_mixed_fleet(
+        &task,
+        &screener,
+        Domain::new(0, specs.len() as u64 * 64),
+        &specs,
+        &MixedFleetConfig {
+            transport,
+            chaos: Some(FaultPlan::chaos(chaos_seed).with_churn(256)),
+            deadline: Some(Duration::from_secs(20)),
+            retries: 8,
+            workers: Some(workers),
+            ..MixedFleetConfig::default()
+        },
+    )
+    .expect("golden chaos campaign must converge within the retry budget");
+    let events = &summary.fault_events;
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, FaultEvent::Delayed { .. }))
+            && events
+                .iter()
+                .any(|e| matches!(e, FaultEvent::Crashed { .. })),
+        "the golden campaigns must exercise injected delays and churn"
+    );
+    summary_digest(&summary)
+}
+
+/// Golden `summary_digest`s of [`golden_campaign`] per chaos seed,
+/// recorded while chaos delays still slept on the wall clock. A delay
+/// now stalls its link for a few logical receive polls instead; the
+/// schedule, the fault log and the bytes on every link are unchanged, so
+/// every campaign must still land on exactly these digests, over either
+/// transport and at any worker count.
+const GOLDEN_CHAOS_DIGESTS: [(u64, &str); 2] = [
+    (
+        0x601D_0005,
+        "fa96cd9473294b7a321942d619969a6897b31aa88396c08df954427673707ab2",
+    ),
+    (
+        0x601D_000A,
+        "2ed26f49042b9d97d256c2053fc397329b98ddc1c992de661df6683530e005c0",
+    ),
+];
+
+#[test]
+fn logical_time_delays_reproduce_the_golden_chaos_digests() {
+    for (seed, golden) in GOLDEN_CHAOS_DIGESTS {
+        for (transport, workers) in [
+            (FleetTransport::Brokered, 1),
+            (FleetTransport::Brokered, 4),
+            (FleetTransport::Direct, 1),
+            (FleetTransport::Direct, 4),
+        ] {
+            assert_eq!(
+                golden_campaign(seed, transport, workers),
+                golden,
+                "{transport:?} seed {seed:#x} at {workers} workers left its golden digest"
+            );
+        }
+    }
 }
