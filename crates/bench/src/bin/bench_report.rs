@@ -25,11 +25,14 @@
 //!
 //! `--compare BASELINE.json` is the **trajectory gate**: workloads shared
 //! with the baseline file must not regress more than 2× (the build fails
-//! otherwise), so a perf cliff cannot land silently.
+//! otherwise), so a perf cliff cannot land silently. The in-run **kernel
+//! gate** always applies: the 8-lane SHA-256 batch and Merkle build must
+//! each run at least 1.3× faster than scalar dispatch of the same work,
+//! or the lane kernel has silently fallen back to scalar code.
 //!
 //! Run: `cargo run --release -p ugc-bench --bin bench_report`
 //! (`--quick` shrinks sizes for CI; `--out PATH` overrides
-//! `BENCH_pr10.json`; `--compare PATH` enables the gate).
+//! `BENCH_pr13.json`; `--compare PATH` enables the gate).
 
 #![forbid(unsafe_code)]
 
@@ -118,6 +121,17 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
 /// How much slower a workload may get against the baseline before the
 /// trajectory gate fails the build.
 const GATE_REGRESSION_FACTOR: f64 = 2.0;
+
+/// The least speedup the 8-lane SHA-256 kernel must show over scalar
+/// dispatch of the same batch, measured in the same run: the in-run
+/// kernel gate. Below it the lane loops have fallen back to scalar code.
+const GATE_MIN_LANE_SPEEDUP: f64 = 1.3;
+
+/// The speedups the in-run kernel gate holds to [`GATE_MIN_LANE_SPEEDUP`].
+const LANE_GATED_SPEEDUPS: [&str; 2] = [
+    "hash_lanes_sha256_batch_x8_over_scalar",
+    "merkle_lanes_build_x8_over_scalar",
+];
 
 /// The chaos-soak campaign: all five schemes, ten participant threads
 /// behind the broker, seeded duplication/reordering/latency plus
@@ -274,7 +288,7 @@ fn soak_digest(summary: &FleetSummary) -> String {
 
 fn main() {
     let mut quick = false;
-    let mut out_path = String::from("BENCH_pr10.json");
+    let mut out_path = String::from("BENCH_pr13.json");
     let mut compare_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -537,6 +551,10 @@ fn main() {
         ns_per_op: time(|| black_box(digest_batch::<Sha256>(&lane_msg_refs, LaneWidth::Scalar))),
     });
     entries.push(Entry {
+        name: "hash_lanes/sha256_batch_x4",
+        ns_per_op: time(|| black_box(digest_batch::<Sha256>(&lane_msg_refs, LaneWidth::X4))),
+    });
+    entries.push(Entry {
         name: "hash_lanes/sha256_batch_x8",
         ns_per_op: time(|| black_box(digest_batch::<Sha256>(&lane_msg_refs, LaneWidth::X8))),
     });
@@ -559,6 +577,10 @@ fn main() {
     entries.push(Entry {
         name: "merkle_lanes/sha256_build_scalar",
         ns_per_op: time(|| black_box(lane_root(LaneWidth::Scalar))),
+    });
+    entries.push(Entry {
+        name: "merkle_lanes/sha256_build_x4",
+        ns_per_op: time(|| black_box(lane_root(LaneWidth::X4))),
     });
     entries.push(Entry {
         name: "merkle_lanes/sha256_build_x8",
@@ -944,7 +966,7 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"ugc-bench-baseline/v1\",");
-    let _ = writeln!(json, "  \"pr\": 10,");
+    let _ = writeln!(json, "  \"pr\": 13,");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -1093,8 +1115,33 @@ fn main() {
         }
     }
 
+    // The kernel gate: the 8-lane SHA-256 kernel against scalar dispatch
+    // of the same batch, in this run.
+    println!("\nlane kernel gate (min {GATE_MIN_LANE_SPEEDUP:.1}x over scalar):");
+    let mut kernel_gate_failed = false;
+    for name in LANE_GATED_SPEEDUPS {
+        let (_, value) = speedups
+            .iter()
+            .find(|(n, _)| *n == name)
+            .expect("gated speedup recorded");
+        let verdict = if *value < GATE_MIN_LANE_SPEEDUP {
+            kernel_gate_failed = true;
+            "TOO SLOW"
+        } else {
+            "ok"
+        };
+        println!("{name:<42} {value:>6.2}x {verdict}");
+    }
+
     if divergence {
         eprintln!("FAILED: parallel and serial outputs diverged");
+        std::process::exit(1);
+    }
+    if kernel_gate_failed {
+        eprintln!(
+            "FAILED: the 8-lane SHA-256 kernel is less than \
+             {GATE_MIN_LANE_SPEEDUP:.1}x faster than scalar dispatch"
+        );
         std::process::exit(1);
     }
     if gate_failed {

@@ -66,41 +66,42 @@ pub(crate) enum ParticipantTree<H: HashFunction> {
 }
 
 impl<H: HashFunction> ParticipantTree<H> {
-    /// Builds the tree from materialised leaves, charging hash operations.
+    /// Builds the tree from the materialised leaf row (`width` bytes per
+    /// leaf), charging hash operations.
     ///
-    /// Full-storage trees over at least [`PARALLEL_BUILD_MIN_LEAVES`]
-    /// leaves build in parallel per `parallelism` (bit-identical roots);
-    /// the ledger records both the total hash work and the critical-path
-    /// cost actually paid.
+    /// Full-storage trees take ownership of the row; over at least
+    /// [`PARALLEL_BUILD_MIN_LEAVES`] leaves they build in parallel per
+    /// `parallelism` (bit-identical roots), and the ledger records both
+    /// the total hash work and the critical-path cost actually paid.
     ///
-    /// In partial mode the leaves are *dropped* after commitment — that is
-    /// the point of Section 3.3 — so proofs later recompute them through
+    /// In partial mode the row is *dropped* after commitment — that is
+    /// the point of Section 3.3 — so proofs later recompute leaves through
     /// the behaviour (charging `f` again, exactly as the paper accounts).
     pub(crate) fn build(
-        leaves: &[Vec<u8>],
+        row: Vec<u8>,
+        width: usize,
         storage: ParticipantStorage,
         parallelism: Parallelism,
         lanes: LaneWidth,
         ledger: &CostLedger,
     ) -> Result<Self, SchemeError> {
+        let leaves = row.len().checked_div(width).unwrap_or(0);
         match storage {
             ParticipantStorage::Full => {
-                let threads = if parallelism.get() > 1 && leaves.len() >= PARALLEL_BUILD_MIN_LEAVES
-                {
+                let threads = if parallelism.get() > 1 && leaves >= PARALLEL_BUILD_MIN_LEAVES {
                     parallelism
                 } else {
                     Parallelism::serial()
                 };
-                let tree = MerkleTree::build_with(leaves, threads, lanes)?;
+                let tree = MerkleTree::from_row(row, width, threads, lanes)?;
                 ledger.charge_hash_parallel(tree.hash_ops(), tree.hash_ops_wall());
                 Ok(ParticipantTree::Full(tree))
             }
             ParticipantStorage::Partial { subtree_height } => {
-                let width = leaves.first().map_or(0, Vec::len);
-                let tree =
-                    PartialMerkleTree::build(leaves.len() as u64, width, subtree_height, |i| {
-                        leaves[i as usize].clone()
-                    })?;
+                let tree = PartialMerkleTree::build(leaves as u64, width, subtree_height, |i| {
+                    let off = i as usize * width;
+                    row[off..off + width].to_vec()
+                })?;
                 ledger.charge_hash(tree.build_stats().hash_ops);
                 Ok(ParticipantTree::Partial(tree))
             }
@@ -370,7 +371,7 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                 };
                 let domain = assignment.domain;
                 let task_id = assignment.task_id;
-                let Materialized { leaves, reports } = materialize(
+                let Materialized { row, reports } = materialize(
                     self.task,
                     self.screener,
                     domain,
@@ -378,16 +379,13 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                     &self.ledger,
                 );
                 let tree = ParticipantTree::<H>::build(
-                    &leaves,
+                    row,
+                    self.task.output_width(),
                     self.storage,
                     self.parallelism,
                     self.lanes,
                     &self.ledger,
                 )?;
-                if matches!(self.storage, ParticipantStorage::Partial { .. }) {
-                    // Section 3.3: the full leaf set is not retained.
-                    drop(leaves);
-                }
                 let commit = Message::Commit {
                     task_id,
                     root: tree.root().as_ref().to_vec(),

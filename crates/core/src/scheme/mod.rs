@@ -29,12 +29,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ugc_grid::{CostLedger, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
-use ugc_merkle::MerkleProof;
+use ugc_merkle::{padded_leaf_count, MerkleProof};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
-/// Committed leaf values plus the screened reports they induce.
+/// Committed leaf values, as one flat row, plus the screened reports
+/// they induce.
 pub(crate) struct Materialized {
-    pub leaves: Vec<Vec<u8>>,
+    /// The `n` committed values back to back, `task.output_width()`
+    /// bytes each, with capacity reserved for the tree's padded leaf
+    /// count so the Merkle build pads it in place.
+    pub row: Vec<u8>,
     pub reports: Vec<ScreenReport>,
 }
 
@@ -48,16 +52,16 @@ pub(crate) fn materialize(
     ledger: &CostLedger,
 ) -> Materialized {
     let n = domain.len();
-    let mut leaves = Vec::with_capacity(n as usize);
-    let mut reports = Vec::new();
-    for i in 0..n {
-        let value = behaviour.leaf_value(task, domain, i, ledger);
-        if let Some(report) = behaviour.report_for(screener, domain, i, &value) {
-            reports.push(report);
-        }
-        leaves.push(value);
-    }
-    Materialized { leaves, reports }
+    let width = task.output_width();
+    let mut row = Vec::with_capacity(padded_leaf_count(n) as usize * width);
+    behaviour.leaf_values_into(task, domain, 0..n, ledger, &mut row);
+    let reports = (0..n as usize)
+        .filter_map(|i| {
+            let value = &row[i * width..(i + 1) * width];
+            behaviour.report_for(screener, domain, i as u64, value)
+        })
+        .collect();
+    Materialized { row, reports }
 }
 
 /// Converts a local Merkle proof plus its claimed leaf value to wire form.
@@ -194,7 +198,8 @@ mod tests {
         let (task, domain, leaves, _) = setup();
         let ledger = CostLedger::new();
         let m = materialize(&task, &AcceptAllScreener, domain, &HonestWorker, &ledger);
-        assert_eq!(m.leaves, leaves);
+        assert_eq!(m.row, leaves.concat());
+        assert!(m.row.capacity() >= 16 * task.output_width());
         assert_eq!(m.reports.len(), 16);
         assert_eq!(ledger.report().f_evals, 16);
     }

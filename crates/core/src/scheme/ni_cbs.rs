@@ -249,7 +249,7 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                 };
                 let domain = assignment.domain;
                 let task_id = assignment.task_id;
-                let Materialized { leaves, reports } = materialize(
+                let Materialized { row, reports } = materialize(
                     self.task,
                     self.screener,
                     domain,
@@ -257,15 +257,13 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
                     &self.ledger,
                 );
                 let tree = ParticipantTree::<H>::build(
-                    &leaves,
+                    row,
+                    self.task.output_width(),
                     self.storage,
                     self.parallelism,
                     self.lanes,
                     &self.ledger,
                 )?;
-                if matches!(self.storage, ParticipantStorage::Partial { .. }) {
-                    drop(leaves);
-                }
                 let root = tree.root();
                 // Eq. (4): the samples come from the commitment itself.
                 let g = IteratedHash::<H>::new(self.scheme.g_iterations);

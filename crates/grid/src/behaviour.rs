@@ -13,6 +13,7 @@
 //!   cross-check, not just CBS path verification.
 
 use crate::CostLedger;
+use std::ops::Range;
 use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener, SplitMix64};
 
 /// How a participant produces commitments and reports for an assignment.
@@ -38,6 +39,26 @@ pub trait WorkerBehaviour: Send + Sync {
         ledger: &CostLedger,
     ) -> Vec<u8>;
 
+    /// Appends the committed values of leaves `indices` of `domain` to
+    /// `row`, back to back — the flat leaf row a Merkle commitment hashes.
+    ///
+    /// Must equal the concatenated [`leaf_value`](Self::leaf_value)s and
+    /// charge the same `f` evaluations. The default loops `leaf_value`;
+    /// behaviours that evaluate `f` on every leaf override it to batch
+    /// through [`ComputeTask::compute_batch`].
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        for index in indices {
+            row.extend_from_slice(&self.leaf_value(task, domain, index, ledger));
+        }
+    }
+
     /// The report (if any) for leaf `index` whose committed value is
     /// `committed`. Default: truthful screening of the committed value.
     fn report_for(
@@ -49,6 +70,36 @@ pub trait WorkerBehaviour: Send + Sync {
     ) -> Option<ScreenReport> {
         let x = domain.input(index).expect("index within domain");
         screener.screen(x, committed)
+    }
+}
+
+/// Leaves per [`ComputeTask::compute_batch`] call on the batched
+/// commitment path: large enough to fill every lane kernel, small enough
+/// that the per-chunk input and output vectors stay cache-resident.
+const BATCH_LEAVES: u64 = 1024;
+
+/// Evaluates `f` honestly on leaves `indices` in fixed-size chunks
+/// through [`ComputeTask::compute_batch`], appending the results to `row`
+/// and charging one `f` evaluation per leaf.
+fn honest_leaf_values_into(
+    task: &dyn ComputeTask,
+    domain: Domain,
+    indices: Range<u64>,
+    ledger: &CostLedger,
+    row: &mut Vec<u8>,
+) {
+    let len = indices.end.saturating_sub(indices.start);
+    let mut xs = Vec::with_capacity(len.min(BATCH_LEAVES) as usize);
+    let mut start = indices.start;
+    while start < indices.end {
+        let end = indices.end.min(start + BATCH_LEAVES);
+        xs.clear();
+        xs.extend((start..end).map(|i| domain.input(i).expect("index within domain")));
+        ledger.charge_f(task.unit_cost() * (end - start));
+        for value in task.compute_batch(&xs) {
+            row.extend_from_slice(&value);
+        }
+        start = end;
     }
 }
 
@@ -67,6 +118,16 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for &B {
         ledger: &CostLedger,
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
+    }
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        (**self).leaf_values_into(task, domain, indices, ledger, row);
     }
     fn report_for(
         &self,
@@ -95,6 +156,16 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for std::sync::Arc<B> {
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
     }
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        (**self).leaf_values_into(task, domain, indices, ledger, row);
+    }
     fn report_for(
         &self,
         screener: &dyn Screener,
@@ -121,6 +192,16 @@ impl<B: WorkerBehaviour + ?Sized> WorkerBehaviour for Box<B> {
         ledger: &CostLedger,
     ) -> Vec<u8> {
         (**self).leaf_value(task, domain, index, ledger)
+    }
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        (**self).leaf_values_into(task, domain, indices, ledger, row);
     }
     fn report_for(
         &self,
@@ -167,6 +248,17 @@ impl WorkerBehaviour for HonestWorker {
         let x = domain.input(index).expect("index within domain");
         ledger.charge_f(task.unit_cost());
         task.compute(x)
+    }
+
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        honest_leaf_values_into(task, domain, indices, ledger, row);
     }
 }
 
@@ -331,6 +423,17 @@ impl WorkerBehaviour for MaliciousWorker {
         let x = domain.input(index).expect("index within domain");
         ledger.charge_f(task.unit_cost());
         task.compute(x)
+    }
+
+    fn leaf_values_into(
+        &self,
+        task: &dyn ComputeTask,
+        domain: Domain,
+        indices: Range<u64>,
+        ledger: &CostLedger,
+        row: &mut Vec<u8>,
+    ) {
+        honest_leaf_values_into(task, domain, indices, ledger, row);
     }
 
     fn report_for(

@@ -316,22 +316,73 @@ fn sha1_compress_lanes<const L: usize>(h: &mut [[u32; L]; 5], blocks: &[[u8; 64]
     }
 }
 
-/// One transposed SHA-256 compression pass (see [`md5_compress_lanes`]).
+/// The lane count from which the SHA-256 kernel writes its `Σ0`, `Σ1`,
+/// `σ0` and `σ1` as grouped shift-xor terms: all right shifts, then all
+/// left shifts.
+///
+/// Each `rotate_right(n)` equals `(x >> n) ^ (x << (32 − n))`, the halves
+/// occupying disjoint bits, but LLVM lowers a rotate to a scalar `rol`:
+/// baseline x86-64 (SSE2) has no vector rotate, and one scalar rotate
+/// keeps the whole lane loop scalar. Grouped, every term is a plain
+/// vector shift, and the 8-lane loops compile to SSE2 `psrld`/`pslld`/
+/// `paddd`. At 4 lanes the SLP vectoriser packs the shift-xor form only
+/// in part and pays for lane inserts and extracts, which measured slower
+/// than four independent scalar `rol` chains, so narrower kernels keep
+/// `rotate_right`.
+const SHA256_SHIFT_XOR_MIN_LANES: usize = 8;
+
+/// `Σ0` for an `L`-lane kernel; see [`SHA256_SHIFT_XOR_MIN_LANES`].
+#[inline(always)]
+fn big_sigma0<const L: usize>(a: u32) -> u32 {
+    if L >= SHA256_SHIFT_XOR_MIN_LANES {
+        ((a >> 2) ^ (a >> 13) ^ (a >> 22)) ^ ((a << 30) ^ (a << 19) ^ (a << 10))
+    } else {
+        a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22)
+    }
+}
+
+/// `Σ1` for an `L`-lane kernel; see [`SHA256_SHIFT_XOR_MIN_LANES`].
+#[inline(always)]
+fn big_sigma1<const L: usize>(e: u32) -> u32 {
+    if L >= SHA256_SHIFT_XOR_MIN_LANES {
+        ((e >> 6) ^ (e >> 11) ^ (e >> 25)) ^ ((e << 26) ^ (e << 21) ^ (e << 7))
+    } else {
+        e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25)
+    }
+}
+
+/// `σ0` for an `L`-lane kernel; see [`SHA256_SHIFT_XOR_MIN_LANES`].
+#[inline(always)]
+fn small_sigma0<const L: usize>(w: u32) -> u32 {
+    if L >= SHA256_SHIFT_XOR_MIN_LANES {
+        ((w >> 7) ^ (w >> 18) ^ (w >> 3)) ^ ((w << 25) ^ (w << 14))
+    } else {
+        w.rotate_right(7) ^ w.rotate_right(18) ^ (w >> 3)
+    }
+}
+
+/// `σ1` for an `L`-lane kernel; see [`SHA256_SHIFT_XOR_MIN_LANES`].
+#[inline(always)]
+fn small_sigma1<const L: usize>(w: u32) -> u32 {
+    if L >= SHA256_SHIFT_XOR_MIN_LANES {
+        ((w >> 17) ^ (w >> 19) ^ (w >> 10)) ^ ((w << 15) ^ (w << 13))
+    } else {
+        w.rotate_right(17) ^ w.rotate_right(19) ^ (w >> 10)
+    }
+}
+
+/// One transposed SHA-256 compression pass (see [`md5_compress_lanes`]),
+/// with the sigma functions in the form that vectorises at `L` lanes on
+/// the baseline target (see [`SHA256_SHIFT_XOR_MIN_LANES`]).
 fn sha256_compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], blocks: &[[u8; 64]; L]) {
     let mut w: [[u32; L]; 64] = load_words(blocks, false);
     for i in 16..64 {
         let (prev, rest) = w.split_at_mut(i);
         for (l, slot) in rest[0].iter_mut().enumerate() {
-            let s0 = prev[i - 15][l].rotate_right(7)
-                ^ prev[i - 15][l].rotate_right(18)
-                ^ (prev[i - 15][l] >> 3);
-            let s1 = prev[i - 2][l].rotate_right(17)
-                ^ prev[i - 2][l].rotate_right(19)
-                ^ (prev[i - 2][l] >> 10);
             *slot = prev[i - 16][l]
-                .wrapping_add(s0)
+                .wrapping_add(small_sigma0::<L>(prev[i - 15][l]))
                 .wrapping_add(prev[i - 7][l])
-                .wrapping_add(s1);
+                .wrapping_add(small_sigma1::<L>(prev[i - 2][l]));
         }
     }
     let mut a = h[0];
@@ -346,16 +397,14 @@ fn sha256_compress_lanes<const L: usize>(h: &mut [[u32; L]; 8], blocks: &[[u8; 6
         let mut t1 = [0u32; L];
         let mut t2 = [0u32; L];
         for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
             let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
             t1[l] = hh[l]
-                .wrapping_add(s1)
+                .wrapping_add(big_sigma1::<L>(e[l]))
                 .wrapping_add(ch)
                 .wrapping_add(sha256::K[i])
                 .wrapping_add(wi[l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
             let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            t2[l] = s0.wrapping_add(maj);
+            t2[l] = big_sigma0::<L>(a[l]).wrapping_add(maj);
         }
         hh = g;
         g = f;
@@ -536,6 +585,18 @@ mod tests {
             assert_eq!(w.to_string(), w.name());
         }
         assert_eq!(LaneWidth::parse("x16"), None);
+    }
+
+    #[test]
+    fn sha256_sigma_forms_agree() {
+        let mut x = 0x0123_4567u32;
+        for _ in 0..1000 {
+            assert_eq!(big_sigma0::<8>(x), big_sigma0::<4>(x));
+            assert_eq!(big_sigma1::<8>(x), big_sigma1::<4>(x));
+            assert_eq!(small_sigma0::<8>(x), small_sigma0::<4>(x));
+            assert_eq!(small_sigma1::<8>(x), small_sigma1::<4>(x));
+            x = x.wrapping_mul(0x9e37_79b9).rotate_left(7) ^ 0x5bd1_e995;
+        }
     }
 
     #[test]

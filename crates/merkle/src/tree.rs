@@ -164,27 +164,14 @@ impl<H: HashFunction> MerkleTree<H> {
         parallelism: Parallelism,
         lanes: LaneWidth,
     ) -> Result<Self, MerkleError> {
-        let mut tree = Self::copy_leaves(leaves)?;
-        if parallelism.get() > 1 {
-            tree.hash_all_parallel(parallelism.get(), lanes);
-        } else {
-            tree.hash_all(lanes);
-        }
-        Ok(tree)
-    }
-
-    /// Validates widths and copies `leaves` into the zero-padded row;
-    /// digests are not yet computed.
-    fn copy_leaves<L: AsRef<[u8]>>(leaves: &[L]) -> Result<Self, MerkleError> {
         let first = leaves.first().ok_or(MerkleError::EmptyTree)?;
         let width = first.as_ref().len();
         if width == 0 {
             return Err(MerkleError::ZeroLeafWidth);
         }
-        let n = leaves.len() as u64;
-        let padded = padded_leaf_count(n);
-        let mut row = vec![0u8; (padded as usize) * width];
-        for (i, (leaf, slot)) in leaves.iter().zip(row.chunks_exact_mut(width)).enumerate() {
+        let padded = padded_leaf_count(leaves.len() as u64);
+        let mut row = Vec::with_capacity((padded as usize) * width);
+        for (i, leaf) in leaves.iter().enumerate() {
             let bytes = leaf.as_ref();
             if bytes.len() != width {
                 return Err(MerkleError::MixedLeafWidth {
@@ -193,17 +180,76 @@ impl<H: HashFunction> MerkleTree<H> {
                     index: i as u64,
                 });
             }
-            slot.copy_from_slice(bytes);
+            row.extend_from_slice(bytes);
         }
-        Ok(MerkleTree {
+        Self::from_row(row, width, parallelism, lanes)
+    }
+
+    /// Builds the same tree as [`build_with`](Self::build_with) over a
+    /// flat row of leaves, `leaf_width` bytes each, back to back — taking
+    /// ownership of the row instead of copying it. The zero padding is
+    /// appended in place, so a row with capacity for
+    /// [`padded_leaf_count`](crate::padded_leaf_count) leaves never
+    /// reallocates.
+    ///
+    /// # Errors
+    ///
+    /// * [`MerkleError::EmptyTree`] if `row` is empty.
+    /// * [`MerkleError::ZeroLeafWidth`] if `leaf_width == 0`.
+    /// * [`MerkleError::MixedLeafWidth`] if `row` does not split into
+    ///   whole leaves (the trailing partial leaf is reported).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ugc_merkle::{LaneWidth, MerkleTree, Parallelism};
+    /// use ugc_hash::Sha256;
+    ///
+    /// let leaves: Vec<[u8; 8]> = (0u64..100).map(|x| x.to_le_bytes()).collect();
+    /// let built: MerkleTree<Sha256> = MerkleTree::build(&leaves)?;
+    /// let row: Vec<u8> = leaves.concat();
+    /// let owned: MerkleTree<Sha256> =
+    ///     MerkleTree::from_row(row, 8, Parallelism::serial(), LaneWidth::X8)?;
+    /// assert_eq!(owned.root(), built.root());
+    /// # Ok::<(), ugc_merkle::MerkleError>(())
+    /// ```
+    pub fn from_row(
+        mut row: Vec<u8>,
+        leaf_width: usize,
+        parallelism: Parallelism,
+        lanes: LaneWidth,
+    ) -> Result<Self, MerkleError> {
+        if row.is_empty() {
+            return Err(MerkleError::EmptyTree);
+        }
+        if leaf_width == 0 {
+            return Err(MerkleError::ZeroLeafWidth);
+        }
+        if row.len() % leaf_width != 0 {
+            return Err(MerkleError::MixedLeafWidth {
+                expected: leaf_width,
+                found: row.len() % leaf_width,
+                index: (row.len() / leaf_width) as u64,
+            });
+        }
+        let leaf_count = (row.len() / leaf_width) as u64;
+        let padded = padded_leaf_count(leaf_count);
+        row.resize((padded as usize) * leaf_width, 0);
+        let mut tree = MerkleTree {
             leaves: row,
             nodes: Vec::new(),
-            leaf_count: n,
+            leaf_count,
             padded,
-            leaf_width: width,
+            leaf_width,
             hash_ops: 0,
             hash_ops_wall: 0,
-        })
+        };
+        if parallelism.get() > 1 {
+            tree.hash_all_parallel(parallelism.get(), lanes);
+        } else {
+            tree.hash_all(lanes);
+        }
+        Ok(tree)
     }
 
     /// Builds a tree by evaluating `leaf_fn(i)` for `i ∈ [0, n)`.
@@ -228,8 +274,7 @@ impl<H: HashFunction> MerkleTree<H> {
         if leaf_width == 0 {
             return Err(MerkleError::ZeroLeafWidth);
         }
-        let padded = padded_leaf_count(n);
-        let mut leaves = vec![0u8; (padded as usize) * leaf_width];
+        let mut row = Vec::with_capacity((padded_leaf_count(n) as usize) * leaf_width);
         for i in 0..n {
             let value = leaf_fn(i);
             if value.len() != leaf_width {
@@ -239,20 +284,9 @@ impl<H: HashFunction> MerkleTree<H> {
                     index: i,
                 });
             }
-            let off = (i as usize) * leaf_width;
-            leaves[off..off + leaf_width].copy_from_slice(&value);
+            row.extend_from_slice(&value);
         }
-        let mut tree = MerkleTree {
-            leaves,
-            nodes: Vec::new(),
-            leaf_count: n,
-            padded,
-            leaf_width,
-            hash_ops: 0,
-            hash_ops_wall: 0,
-        };
-        tree.hash_all(LaneWidth::default());
-        Ok(tree)
+        Self::from_row(row, leaf_width, Parallelism::serial(), LaneWidth::default())
     }
 
     /// Recomputes every internal digest from the leaf data, lane-batching
@@ -664,6 +698,45 @@ mod tests {
         let b: MerkleTree<Sha256> =
             MerkleTree::from_leaf_fn(10, 8, |i| ls[i as usize].to_vec()).unwrap();
         assert_eq!(a.root(), b.root());
+    }
+
+    #[test]
+    fn from_row_matches_build_at_every_setting() {
+        for n in [1u64, 2, 3, 8, 100, 1025] {
+            let ls = leaves(n);
+            let built: MerkleTree<Sha256> = MerkleTree::build(&ls).unwrap();
+            for (threads, lanes) in [
+                (Parallelism::serial(), LaneWidth::Scalar),
+                (Parallelism::threads(4), LaneWidth::X8),
+            ] {
+                let owned: MerkleTree<Sha256> =
+                    MerkleTree::from_row(ls.concat(), 8, threads, lanes).unwrap();
+                assert_eq!(owned.root(), built.root(), "n={n}");
+                assert_eq!(owned.leaf_count(), n);
+                assert_eq!(owned.hash_ops(), built.hash_ops());
+                assert_eq!(owned.leaf(n - 1).unwrap(), ls[(n - 1) as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn from_row_validates_geometry() {
+        let build = |row: Vec<u8>, width| {
+            MerkleTree::<Sha256>::from_row(row, width, Parallelism::serial(), LaneWidth::X8)
+        };
+        assert_eq!(build(Vec::new(), 8).unwrap_err(), MerkleError::EmptyTree);
+        assert_eq!(
+            build(vec![1; 8], 0).unwrap_err(),
+            MerkleError::ZeroLeafWidth
+        );
+        assert_eq!(
+            build(vec![1; 21], 8).unwrap_err(),
+            MerkleError::MixedLeafWidth {
+                expected: 8,
+                found: 5,
+                index: 2
+            }
+        );
     }
 
     #[test]
