@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-use ugc_core::scheme::naive::{run_naive, NaiveConfig};
-use ugc_core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use ugc_core::ParticipantStorage;
+use ugc_core::scheme::cbs::CbsScheme;
+use ugc_core::scheme::naive::NaiveScheme;
+use ugc_core::scheme::ni_cbs::NiCbsScheme;
+use ugc_core::{run_scheme, MixedFleetConfig, ParticipantStorage, VerificationScheme};
 use ugc_grid::HonestWorker;
 use ugc_hash::Sha256;
 use ugc_task::workloads::PasswordSearch;
@@ -20,88 +20,53 @@ fn bench_schemes(c: &mut Criterion) {
     let task = PasswordSearch::with_hidden_password(1, 7);
     let screener = task.match_screener();
     let domain = Domain::new(0, N);
+    let cbs = CbsScheme {
+        samples: M,
+        seed: 2,
+        report_audit: 0,
+    };
+    let cases: [(&str, &dyn VerificationScheme<Sha256>, ParticipantStorage); 4] = [
+        (
+            "naive",
+            &NaiveScheme {
+                samples: M,
+                seed: 2,
+            },
+            ParticipantStorage::Full,
+        ),
+        ("cbs_full", &cbs, ParticipantStorage::Full),
+        (
+            "cbs_partial_l6",
+            &cbs,
+            ParticipantStorage::Partial { subtree_height: 6 },
+        ),
+        (
+            "ni_cbs",
+            &NiCbsScheme {
+                samples: M,
+                g_iterations: 1,
+                report_audit: 0,
+                audit_seed: 0,
+            },
+            ParticipantStorage::Full,
+        ),
+    ];
     let mut group = c.benchmark_group("scheme_e2e");
     group.sample_size(10);
-
-    group.bench_function("naive", |b| {
-        b.iter(|| {
-            black_box(
-                run_naive(
-                    &task,
-                    &screener,
-                    domain,
-                    &HonestWorker,
-                    &NaiveConfig {
-                        task_id: 1,
-                        samples: M,
-                        seed: 2,
-                    },
+    for (name, scheme, storage) in cases {
+        let config = MixedFleetConfig {
+            storage,
+            ..MixedFleetConfig::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    run_scheme(&task, &screener, domain, scheme, &[&HonestWorker], &config)
+                        .unwrap(),
                 )
-                .unwrap(),
-            )
-        })
-    });
-    group.bench_function("cbs_full", |b| {
-        b.iter(|| {
-            black_box(
-                run_cbs::<Sha256, _, _, _>(
-                    &task,
-                    &screener,
-                    domain,
-                    &HonestWorker,
-                    ParticipantStorage::Full,
-                    &CbsConfig {
-                        task_id: 1,
-                        samples: M,
-                        seed: 2,
-                        report_audit: 0,
-                    },
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.bench_function("cbs_partial_l6", |b| {
-        b.iter(|| {
-            black_box(
-                run_cbs::<Sha256, _, _, _>(
-                    &task,
-                    &screener,
-                    domain,
-                    &HonestWorker,
-                    ParticipantStorage::Partial { subtree_height: 6 },
-                    &CbsConfig {
-                        task_id: 1,
-                        samples: M,
-                        seed: 2,
-                        report_audit: 0,
-                    },
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.bench_function("ni_cbs", |b| {
-        b.iter(|| {
-            black_box(
-                run_ni_cbs::<Sha256, _, _, _>(
-                    &task,
-                    &screener,
-                    domain,
-                    &HonestWorker,
-                    ParticipantStorage::Full,
-                    &NiCbsConfig {
-                        task_id: 1,
-                        samples: M,
-                        g_iterations: 1,
-                        report_audit: 0,
-                        audit_seed: 0,
-                    },
-                )
-                .unwrap(),
-            )
-        })
-    });
+            })
+        });
+    }
     group.finish();
 }
 

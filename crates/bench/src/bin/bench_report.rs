@@ -14,8 +14,8 @@
 //! trajectory can be compared across PRs.
 //!
 //! Every serial/parallel pair is checked for **bit-identical output**
-//! (roots, Monte-Carlo counts), the engine-over-broker round is checked
-//! bit-identical to the legacy in-process round (verdict, bytes,
+//! (roots, Monte-Carlo counts), the brokered CBS round is checked
+//! bit-identical to the same round over direct links (verdict, bytes,
 //! ledgers), the chaos soak is checked to replay bit-identically from
 //! its seed, and the scheduler-scale campaign is checked bit-identical
 //! across worker counts {1, 4, 8} *and* work-stealing seeds (the PR 8
@@ -40,14 +40,14 @@ use criterion::{black_box, Bencher};
 use std::fmt::Write as _;
 use std::time::Duration;
 use ugc_core::sampling::derive_samples;
-use ugc_core::scheme::cbs::{run_cbs, CbsConfig, CbsScheme};
+use ugc_core::scheme::cbs::CbsScheme;
 use ugc_core::scheme::double_check::DoubleCheckScheme;
 use ugc_core::scheme::naive::NaiveScheme;
 use ugc_core::scheme::ni_cbs::NiCbsScheme;
 use ugc_core::scheme::ringer::RingerScheme;
 use ugc_core::{
-    run_durable_fleet, run_mixed_fleet, summary_digest, CampaignHeader, DurableCampaign,
-    FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig, ParticipantStorage,
+    run_durable_fleet, run_mixed_fleet, run_scheme, summary_digest, CampaignHeader,
+    DurableCampaign, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
     VerificationScheme,
 };
 use ugc_grid::runtime::FaultPlan;
@@ -199,8 +199,8 @@ fn run_soak(n_per_member: u64) -> FleetSummary {
 /// The PR 5 scheduler-scale campaign: 1000 participant slots — the five
 /// schemes cycling, honest workers, seeded churn — multiplexed over a
 /// fixed [`GridScheduler`](ugc_grid::runtime::GridScheduler) pool behind
-/// the broker. The thread-per-participant runtime could never run this;
-/// the work-stealing scheduler (PR 8) runs it on any pool size — and
+/// the broker. One OS thread per participant could never run this; the
+/// work-stealing scheduler (PR 8) runs it on any pool size — and
 /// under any steal-seed victim order — with a bit-identical outcome.
 fn run_scheduler_scale(workers: usize, steal_seed: u64) -> FleetSummary {
     const SLOTS: usize = 1000;
@@ -620,52 +620,36 @@ fn main() {
     });
     let e2e_task = PasswordSearch::with_hidden_password(1, 7);
     let e2e_screener = e2e_task.match_screener();
-    entries.push(Entry {
-        name: "scheme_e2e/cbs_full",
-        ns_per_op: time(|| {
-            black_box(
-                run_cbs::<Sha256, _, _, _>(
-                    &e2e_task,
-                    &e2e_screener,
-                    Domain::new(0, e2e_n),
-                    &HonestWorker,
-                    ParticipantStorage::Full,
-                    &CbsConfig {
-                        task_id: 1,
-                        samples: 32,
-                        seed: 2,
-                        report_audit: 0,
-                    },
-                )
-                .unwrap(),
-            )
-        }),
-    });
-
-    // --- PR 3 tentpole: the session engine over the broker transport. ---
-    // One CBS round, legacy in-process path vs engine-multiplexed over a
-    // relaying broker: the verdict, the supervisor's byte counts and both
-    // cost ledgers must agree bit for bit, and we record what the
-    // brokered indirection costs in wall-clock terms.
-    let legacy_round = run_cbs::<Sha256, _, _, _>(
-        &e2e_task,
-        &e2e_screener,
-        Domain::new(0, e2e_n),
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 0,
-            samples: 32,
-            seed: 2,
-            report_audit: 0,
-        },
-    )
-    .unwrap();
     let engine_scheme = CbsScheme {
         samples: 32,
         seed: 2,
         report_audit: 0,
     };
+    let e2e_round = |transport: FleetTransport| {
+        run_scheme::<Sha256, _, _>(
+            &e2e_task,
+            &e2e_screener,
+            Domain::new(0, e2e_n),
+            &engine_scheme,
+            &[&HonestWorker],
+            &MixedFleetConfig {
+                transport,
+                ..MixedFleetConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    entries.push(Entry {
+        name: "scheme_e2e/cbs_full",
+        ns_per_op: time(|| black_box(e2e_round(FleetTransport::Direct))),
+    });
+
+    // --- PR 3 tentpole: the session engine over the broker transport. ---
+    // One CBS round over direct links vs relayed through a broker: the
+    // verdict, the supervisor's byte counts and both cost ledgers must
+    // agree bit for bit, and we record what the brokered indirection
+    // costs in wall-clock terms.
+    let direct_round = e2e_round(FleetTransport::Direct);
     let engine_fleet = |transport: FleetTransport, members: usize| {
         let specs: Vec<MemberSpec<'_, Sha256>> = (0..members)
             .map(|_| MemberSpec {
@@ -685,19 +669,18 @@ fn main() {
         )
         .unwrap()
     };
-    let brokered = engine_fleet(FleetTransport::Brokered, 1);
-    let engine_round = &brokered.members[0].outcome;
-    if engine_round.verdict != legacy_round.verdict
-        || engine_round.supervisor_link != legacy_round.supervisor_link
-        || engine_round.supervisor_costs != legacy_round.supervisor_costs
-        || engine_round.participant_costs != legacy_round.participant_costs
+    let brokered_round = e2e_round(FleetTransport::Brokered);
+    if brokered_round.verdict != direct_round.verdict
+        || brokered_round.supervisor_link != direct_round.supervisor_link
+        || brokered_round.supervisor_costs != direct_round.supervisor_costs
+        || brokered_round.participant_costs != direct_round.participant_costs
     {
-        eprintln!("DIVERGENCE: engine-over-broker CBS round != legacy in-process round");
+        eprintln!("DIVERGENCE: brokered CBS round != the same round over direct links");
         divergence = true;
     }
     entries.push(Entry {
         name: "scheme_e2e/cbs_engine_brokered",
-        ns_per_op: time(|| black_box(engine_fleet(FleetTransport::Brokered, 1))),
+        ns_per_op: time(|| black_box(e2e_round(FleetTransport::Brokered))),
     });
     entries.push(Entry {
         name: "engine/brokered_fleet_x4",
@@ -752,10 +735,10 @@ fn main() {
     });
     let _ = std::fs::remove_file(&journal_file);
 
-    // --- PR 4 tentpole: the chaos soak over the thread-per-participant
-    // runtime. Ten participant OS threads, five schemes, seeded faults
-    // and churn; the campaign must replay bit-identically, and its
-    // wall-clock throughput is the soak baseline CI tracks.
+    // --- PR 4 tentpole: the chaos soak. Ten participant slots, five
+    // schemes, seeded faults and churn; the campaign must replay
+    // bit-identically, and its wall-clock throughput is the soak
+    // baseline CI tracks.
     let soak_n: u64 = if quick { 64 } else { 256 };
     let soak = run_soak(soak_n);
     let soak_replay = run_soak(soak_n);
@@ -896,7 +879,7 @@ fn main() {
             ratio("sim_fast/serial", "sim_fast/sharded"),
         ),
         (
-            "engine_brokered_over_legacy_e2e",
+            "engine_brokered_over_direct_e2e",
             ratio("scheme_e2e/cbs_full", "scheme_e2e/cbs_engine_brokered"),
         ),
         (

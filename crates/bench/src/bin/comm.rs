@@ -13,10 +13,10 @@
 #![forbid(unsafe_code)]
 
 use ugc_core::analysis::{cbs_traffic_bytes, naive_traffic_bytes};
-use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-use ugc_core::scheme::naive::{run_naive, NaiveConfig};
-use ugc_core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use ugc_core::ParticipantStorage;
+use ugc_core::scheme::cbs::CbsScheme;
+use ugc_core::scheme::naive::NaiveScheme;
+use ugc_core::scheme::ni_cbs::NiCbsScheme;
+use ugc_core::{run_scheme, MixedFleetConfig, VerificationScheme};
 use ugc_grid::HonestWorker;
 use ugc_hash::{HashFunction, Sha256};
 use ugc_merkle::tree_height;
@@ -38,47 +38,26 @@ fn main() {
     for bits in [10u32, 12, 14, 16] {
         let n = 1u64 << bits;
         let domain = Domain::new(0, n);
-        let naive = run_naive(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            &NaiveConfig {
-                task_id: 1,
-                samples: M,
-                seed: 5,
-            },
-        )
-        .expect("naive round");
-        let cbs = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &CbsConfig {
-                task_id: 1,
-                samples: M,
-                seed: 5,
-                report_audit: 0,
-            },
-        )
-        .expect("cbs round");
-        let ni = run_ni_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &NiCbsConfig {
-                task_id: 1,
-                samples: M,
-                g_iterations: 1,
-                report_audit: 0,
-                audit_seed: 0,
-            },
-        )
-        .expect("ni-cbs round");
+        let run = |scheme: &dyn VerificationScheme<Sha256>| {
+            let config = MixedFleetConfig::default();
+            run_scheme(&task, &screener, domain, scheme, &[&HonestWorker], &config)
+                .unwrap_or_else(|e| panic!("{} round: {e}", scheme.name()))
+        };
+        let naive = run(&NaiveScheme {
+            samples: M,
+            seed: 5,
+        });
+        let cbs = run(&CbsScheme {
+            samples: M,
+            seed: 5,
+            report_audit: 0,
+        });
+        let ni = run(&NiCbsScheme {
+            samples: M,
+            g_iterations: 1,
+            report_audit: 0,
+            audit_seed: 0,
+        });
         assert!(naive.accepted && cbs.accepted && ni.accepted);
         let naive_b = naive.supervisor_link.bytes_received;
         let cbs_b = cbs.supervisor_link.bytes_received;

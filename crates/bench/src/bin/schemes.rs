@@ -9,24 +9,64 @@
 
 #![forbid(unsafe_code)]
 
-use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-use ugc_core::scheme::double_check::{run_double_check, DoubleCheckConfig};
-use ugc_core::scheme::naive::{run_naive, NaiveConfig};
-use ugc_core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use ugc_core::scheme::ringer::{run_ringer, RingerConfig};
-use ugc_core::{ParticipantStorage, RoundOutcome};
-use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+use ugc_core::scheme::cbs::CbsScheme;
+use ugc_core::scheme::double_check::DoubleCheckScheme;
+use ugc_core::scheme::naive::NaiveScheme;
+use ugc_core::scheme::ni_cbs::NiCbsScheme;
+use ugc_core::scheme::ringer::RingerScheme;
+use ugc_core::{
+    run_scheme, MixedFleetConfig, ParticipantStorage, RoundOutcome, VerificationScheme,
+};
+use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
 use ugc_hash::Sha256;
 use ugc_sim::Table;
 use ugc_task::workloads::PasswordSearch;
-use ugc_task::{Domain, ZeroGuesser};
+use ugc_task::{Domain, Screener, ZeroGuesser};
 
 const N_BITS: u32 = 12;
 const N: u64 = 1 << N_BITS;
 const M: usize = 50;
 
+const NAIVE: NaiveScheme = NaiveScheme {
+    samples: M,
+    seed: 4,
+};
+const CBS: CbsScheme = CbsScheme {
+    samples: M,
+    seed: 4,
+    report_audit: 0,
+};
+const NI_CBS: NiCbsScheme = NiCbsScheme {
+    samples: M,
+    g_iterations: 1,
+    report_audit: 0,
+    audit_seed: 0,
+};
+const RINGER: RingerScheme = RingerScheme {
+    ringers: M,
+    seed: 4,
+};
+
 fn cheater(seed: u64) -> SemiHonestCheater<ZeroGuesser> {
     SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(seed), seed)
+}
+
+/// One round of `scheme` over `domain` with the given participant
+/// storage mode.
+fn round<S: Screener>(
+    task: &PasswordSearch,
+    screener: &S,
+    domain: Domain,
+    scheme: &dyn VerificationScheme<Sha256>,
+    behaviours: &[&dyn WorkerBehaviour],
+    storage: ParticipantStorage,
+) -> RoundOutcome {
+    let config = MixedFleetConfig {
+        storage,
+        ..MixedFleetConfig::default()
+    };
+    run_scheme(task, screener, domain, scheme, behaviours, &config)
+        .unwrap_or_else(|e| panic!("{}: {e}", scheme.name()))
 }
 
 fn main() {
@@ -36,83 +76,18 @@ fn main() {
     let task = PasswordSearch::with_hidden_password(5, 77);
     let screener = task.match_screener();
     let domain = Domain::new(0, N);
+    let full = ParticipantStorage::Full;
+    let run = |scheme: &dyn VerificationScheme<Sha256>, behaviours: &[&dyn WorkerBehaviour]| {
+        round(&task, &screener, domain, scheme, behaviours, full)
+    };
 
-    let naive = run_naive(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &NaiveConfig {
-            task_id: 1,
-            samples: M,
-            seed: 4,
-        },
-    )
-    .expect("naive");
-    let double = run_double_check(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &HonestWorker,
-        &DoubleCheckConfig { task_id: 2 },
-    )
-    .expect("double-check");
-    let cbs = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 3,
-            samples: M,
-            seed: 4,
-            report_audit: 0,
-        },
-    )
-    .expect("cbs");
-    let cbs_partial = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Partial { subtree_height: 6 },
-        &CbsConfig {
-            task_id: 4,
-            samples: M,
-            seed: 4,
-            report_audit: 0,
-        },
-    )
-    .expect("cbs partial");
-    let ni = run_ni_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &NiCbsConfig {
-            task_id: 5,
-            samples: M,
-            g_iterations: 1,
-            report_audit: 0,
-            audit_seed: 0,
-        },
-    )
-    .expect("ni-cbs");
-    let ringer = run_ringer(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &RingerConfig {
-            task_id: 6,
-            ringers: M,
-            seed: 4,
-        },
-    )
-    .expect("ringer");
+    let naive = run(&NAIVE, &[&HonestWorker]);
+    let double = run(&DoubleCheckScheme, &[&HonestWorker, &HonestWorker]);
+    let cbs = run(&CBS, &[&HonestWorker]);
+    let partial = ParticipantStorage::Partial { subtree_height: 6 };
+    let cbs_partial = round(&task, &screener, domain, &CBS, &[&HonestWorker], partial);
+    let ni = run(&NI_CBS, &[&HonestWorker]);
+    let ringer = run(&RINGER, &[&HonestWorker]);
 
     let mut table = Table::new([
         "scheme",
@@ -147,68 +122,11 @@ fn main() {
     println!("\nDetection spot-check — same grid against a 50%-honest cheater:");
     let mut det = Table::new(["scheme", "verdict on r=0.5 cheater"]);
     let c = cheater(9);
-    let naive_c = run_naive(
-        &task,
-        &screener,
-        domain,
-        &c,
-        &NaiveConfig {
-            task_id: 11,
-            samples: M,
-            seed: 4,
-        },
-    )
-    .expect("naive cheat");
-    let cbs_c = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &c,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 12,
-            samples: M,
-            seed: 4,
-            report_audit: 0,
-        },
-    )
-    .expect("cbs cheat");
-    let ni_c = run_ni_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &c,
-        ParticipantStorage::Full,
-        &NiCbsConfig {
-            task_id: 13,
-            samples: M,
-            g_iterations: 1,
-            report_audit: 0,
-            audit_seed: 0,
-        },
-    )
-    .expect("ni cheat");
-    let ringer_c = run_ringer(
-        &task,
-        &screener,
-        domain,
-        &c,
-        &RingerConfig {
-            task_id: 14,
-            ringers: M,
-            seed: 4,
-        },
-    )
-    .expect("ringer cheat");
-    let double_c = run_double_check(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &c,
-        &DoubleCheckConfig { task_id: 15 },
-    )
-    .expect("double cheat");
+    let naive_c = run(&NAIVE, &[&c]);
+    let cbs_c = run(&CBS, &[&c]);
+    let ni_c = run(&NI_CBS, &[&c]);
+    let ringer_c = run(&RINGER, &[&c]);
+    let double_c = run(&DoubleCheckScheme, &[&HonestWorker, &c]);
     det.push(["double-check (1 honest)", &double_c.verdict.to_string()]);
     det.push(["naive-sampling", &naive_c.verdict.to_string()]);
     det.push(["ringer", &ringer_c.verdict.to_string()]);

@@ -12,8 +12,8 @@
 
 #![forbid(unsafe_code)]
 
-use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-use ugc_core::ParticipantStorage;
+use ugc_core::scheme::cbs::CbsScheme;
+use ugc_core::{run_scheme, MixedFleetConfig};
 use ugc_grid::HonestWorker;
 use ugc_hash::Sha256;
 use ugc_sim::Table;
@@ -38,18 +38,18 @@ fn main() {
         let n = 1u64 << bits;
         // The supervisor cannot sample more than is useful; m caps at n.
         let m = 20usize.min(n as usize);
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let scheme = CbsScheme {
+            samples: m,
+            seed: 5,
+            report_audit: 0,
+        };
+        let outcome = run_scheme::<Sha256, _, _>(
             &task,
             &screener,
             Domain::new(0, n),
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &CbsConfig {
-                task_id: 1,
-                samples: m,
-                seed: 5,
-                report_audit: 0,
-            },
+            &scheme,
+            &[&HonestWorker],
+            &MixedFleetConfig::default(),
         )
         .expect("round runs");
         assert!(outcome.accepted);

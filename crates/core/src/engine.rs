@@ -26,8 +26,8 @@
 //! Per-session traffic is accounted from encoded frame sizes (wire length
 //! plus the transport's frame header), which is byte-identical to what a
 //! dedicated [`Endpoint`] would have counted — so
-//! engine-multiplexed byte counts match the legacy one-link-per-round
-//! paths bit for bit.
+//! engine-multiplexed byte counts match one-link-per-round accounting
+//! bit for bit.
 
 use crate::journal::CampaignRecorder;
 use crate::session::{SessionOutcome, SupervisorSession};

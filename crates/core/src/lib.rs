@@ -25,13 +25,19 @@
 //! implements both interactive sample selection and the Eq. (4) hash-chain
 //! derivation.
 //!
+//! Each scheme module holds the scheme's two [`session`] state machines
+//! (supervisor and participant) and nothing else that drives them. One
+//! round of any scheme runs through [`run_scheme`], a one-member
+//! [`run_mixed_fleet`]: the same session engine, scheduler and transports
+//! a thousand-participant campaign uses.
+//!
 //! # Examples
 //!
 //! A full interactive CBS round against a half-honest cheater:
 //!
 //! ```
-//! use ugc_core::scheme::cbs::{run_cbs, CbsConfig};
-//! use ugc_core::ParticipantStorage;
+//! use ugc_core::scheme::cbs::CbsScheme;
+//! use ugc_core::{run_scheme, MixedFleetConfig};
 //! use ugc_grid::{CheatSelection, SemiHonestCheater};
 //! use ugc_hash::Sha256;
 //! use ugc_task::{workloads::PasswordSearch, Domain, ZeroGuesser};
@@ -39,14 +45,14 @@
 //! let task = PasswordSearch::with_hidden_password(1, 42);
 //! let screener = task.match_screener();
 //! let cheater = SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(7), 3);
-//! let config = CbsConfig { task_id: 1, samples: 20, seed: 99, report_audit: 0 };
-//! let outcome = run_cbs::<Sha256, _, _, _>(
+//! let scheme = CbsScheme { samples: 20, seed: 99, report_audit: 0 };
+//! let outcome = run_scheme::<Sha256, _, _>(
 //!     &task,
 //!     &screener,
 //!     Domain::new(0, 256),
-//!     &cheater,
-//!     ParticipantStorage::Full,
-//!     &config,
+//!     &scheme,
+//!     &[&cheater],
+//!     &MixedFleetConfig::default(),
 //! )?;
 //! assert!(!outcome.accepted, "a 50% cheater must not survive 20 samples");
 //! # Ok::<(), ugc_core::SchemeError>(())
@@ -74,7 +80,7 @@ pub use error::SchemeError;
 pub use journal::{summary_digest, CampaignHeader, DurableCampaign, ResumeReport};
 pub use orchestrator::{
     chaos_link_id, run_campaign, run_durable_fleet, run_durable_fleet_on, run_fleet,
-    run_fleet_over, run_mixed_fleet, run_mixed_fleet_on, CampaignSummary, FleetConfig, FleetMember,
+    run_mixed_fleet, run_mixed_fleet_on, run_scheme, CampaignSummary, FleetConfig, FleetMember,
     FleetScheme, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
 };
 pub use outcome::{ParticipantStorage, RoundOutcome, Verdict};

@@ -12,8 +12,8 @@
 //! member over either per-participant links
 //! ([`FleetTransport::Direct`]) or one shared link into a relaying
 //! [`Broker`](ugc_grid::Broker) ([`FleetTransport::Brokered`]) — the same
-//! code path either way, and bit-identical verdicts, byte counts and cost
-//! ledgers to the historical one-thread-pair-per-round implementation.
+//! code path either way. A single session is a one-member fleet:
+//! [`run_scheme`] runs one round of any scheme through the same engine.
 
 use crate::backend::{InProcessBackend, OpenRound, RoundSpec, TransportBackend};
 use crate::engine::{SessionEngine, SessionResult};
@@ -26,8 +26,8 @@ use crate::scheme::naive::NaiveScheme;
 use crate::scheme::ni_cbs::NiCbsScheme;
 use crate::scheme::ringer::RingerScheme;
 use crate::session::{
-    drive_participant, step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll,
-    SupervisorContext, VerificationScheme,
+    step_participant_batch, ParticipantContext, ParticipantSession, SessionPoll, SupervisorContext,
+    VerificationScheme,
 };
 use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
 use std::time::{Duration, Instant};
@@ -234,19 +234,19 @@ pub struct MixedFleetConfig {
     /// reassigned to a fresh participant before its error propagates.
     /// Cheating verdicts are never retried.
     pub retries: u32,
-    /// How participant sessions are executed. `None` runs one OS thread
-    /// per participant slot (the PR 4 runtime). `Some(w)` runs every
-    /// slot as a poll-driven state machine multiplexed by a
-    /// [`GridScheduler`] over `w` OS threads — thousands of participants
-    /// on a fixed pool. Verdicts, ledgers and the fault log are
+    /// Size of the worker pool participant sessions run on. Every slot is
+    /// a poll-driven state machine multiplexed by a [`GridScheduler`]
+    /// over `Some(w)` OS threads — thousands of participants on a fixed
+    /// pool — or, with `None`, over [`GridScheduler::available()`]
+    /// workers (one per core). Verdicts, ledgers and the fault log are
     /// bit-identical at any setting (`tests/scheduler_equivalence.rs`);
     /// only the thread count changes.
     pub workers: Option<usize>,
-    /// Seed for the scheduler's work-stealing victim order (used only
-    /// when [`workers`](Self::workers) is set). Scheduling-only: any
-    /// seed produces identical verdicts, fault logs and byte counts —
-    /// the knob exists so tests and the bench divergence gate can
-    /// *prove* that invariant, not to tune throughput.
+    /// Seed for the scheduler's work-stealing victim order.
+    /// Scheduling-only: any seed produces identical verdicts, fault logs
+    /// and byte counts — the knob exists so tests and the bench
+    /// divergence gate can *prove* that invariant, not to tune
+    /// throughput.
     pub steal_seed: u64,
 }
 
@@ -289,9 +289,11 @@ pub struct MemberSpec<'a, H: HashFunction> {
 /// its own share of `domain` (shares differ in size by at most one input).
 ///
 /// All rounds run concurrently through one
-/// [`SessionEngine`](crate::engine::SessionEngine) event loop —
-/// participants on their own threads, sessions multiplexed on the calling
-/// thread — and deterministically per `config.seed`.
+/// [`SessionEngine`](crate::engine::SessionEngine) event loop over
+/// per-participant links — participants on the scheduler's worker pool,
+/// sessions multiplexed on the calling thread — and deterministically
+/// per `config.seed`. For another transport, build [`MemberSpec`]s and
+/// call [`run_mixed_fleet`].
 ///
 /// # Errors
 ///
@@ -303,43 +305,6 @@ pub fn run_fleet<H, T, S, B>(
     domain: Domain,
     fleet: &[B],
     config: &FleetConfig,
-) -> Result<FleetSummary, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    run_fleet_over::<H, T, S, B>(
-        task,
-        screener,
-        domain,
-        fleet,
-        config,
-        FleetTransport::Direct,
-    )
-}
-
-/// [`run_fleet`] with an explicit transport: the same sessions, multiplexed
-/// either over per-participant links or through a relaying broker.
-/// Verdicts and ledgers are identical either way.
-///
-/// Deprecated in favour of setting
-/// [`MixedFleetConfig::transport`] and calling [`run_mixed_fleet`] (or
-/// [`run_mixed_fleet_on`] with a connected backend): transport is
-/// configuration, not a separate entry point. Kept as a thin wrapper for
-/// existing callers.
-///
-/// # Errors
-///
-/// As [`run_fleet`].
-pub fn run_fleet_over<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    fleet: &[B],
-    config: &FleetConfig,
-    transport: FleetTransport,
 ) -> Result<FleetSummary, SchemeError>
 where
     H: HashFunction,
@@ -372,10 +337,71 @@ where
         &MixedFleetConfig {
             storage: config.storage,
             parallelism: config.parallelism,
-            transport,
             ..MixedFleetConfig::default()
         },
     )
+}
+
+/// Runs one complete round of `scheme` over all of `domain`, with one
+/// behaviour per participant slot (two for double-check, one otherwise):
+/// a one-member [`run_mixed_fleet`], so a single session runs on exactly
+/// the engine, scheduler and transport a campaign does.
+///
+/// # Errors
+///
+/// As [`run_mixed_fleet`]: the session's protocol error (cheating is a
+/// rejected verdict, not an error), then any participant-side error, or
+/// invalid configuration (e.g. `samples == 0`, or a behaviour count not
+/// matching the scheme's slots).
+///
+/// # Examples
+///
+/// ```
+/// use ugc_core::scheme::cbs::CbsScheme;
+/// use ugc_core::{run_scheme, MixedFleetConfig};
+/// use ugc_grid::HonestWorker;
+/// use ugc_hash::Sha256;
+/// use ugc_task::{workloads::PasswordSearch, Domain};
+///
+/// let task = PasswordSearch::with_hidden_password(1, 42);
+/// let screener = task.match_screener();
+/// let scheme = CbsScheme { samples: 12, seed: 7, report_audit: 0 };
+/// let outcome = run_scheme::<Sha256, _, _>(
+///     &task,
+///     &screener,
+///     Domain::new(0, 128),
+///     &scheme,
+///     &[&HonestWorker],
+///     &MixedFleetConfig::default(),
+/// )?;
+/// assert!(outcome.accepted);
+/// assert_eq!(outcome.reports[0].input, 42); // the password surfaced
+/// # Ok::<(), ugc_core::SchemeError>(())
+/// ```
+pub fn run_scheme<H, T, S>(
+    task: &T,
+    screener: &S,
+    domain: Domain,
+    scheme: &dyn VerificationScheme<H>,
+    behaviours: &[&dyn WorkerBehaviour],
+    config: &MixedFleetConfig,
+) -> Result<RoundOutcome, SchemeError>
+where
+    H: HashFunction,
+    T: ComputeTask,
+    S: Screener,
+{
+    let member = MemberSpec {
+        scheme,
+        behaviours: behaviours.to_vec(),
+    };
+    let summary = run_mixed_fleet(task, screener, domain, &[member], config)?;
+    let member = summary
+        .members
+        .into_iter()
+        .next()
+        .expect("a one-member fleet reports exactly one member");
+    Ok(member.outcome)
 }
 
 /// Runs one verification round for an arbitrary mix of schemes and
@@ -384,13 +410,11 @@ where
 /// own behaviour(s), and all sessions interleave over one transport, be it
 /// per-participant links or a relaying broker.
 ///
-/// Participant execution follows [`MixedFleetConfig::workers`]: one OS
-/// thread per slot by default, or — with a worker count set — every slot
-/// as a poll-driven state machine multiplexed by a
-/// [`GridScheduler`] over that fixed pool (through the
-/// [`ugc_grid::runtime`] harness for the brokered transport), which is
-/// how a thousand-participant campaign runs on four threads. With
-/// [`MixedFleetConfig::chaos`] set, each link is decorated with the
+/// Every participant slot runs as a poll-driven state machine
+/// multiplexed by a [`GridScheduler`] over a fixed pool of
+/// [`MixedFleetConfig::workers`] OS threads (one per core when `None`),
+/// which is how a thousand-participant campaign runs on four threads.
+/// With [`MixedFleetConfig::chaos`] set, each link is decorated with the
 /// seeded fault plan; sessions that fail under chaos (crashes, timeouts,
 /// scrambled protocol) are *reassigned* — rerun on fresh participants
 /// with fresh fault schedules — up to [`MixedFleetConfig::retries`]
@@ -739,9 +763,10 @@ where
         ));
     }
     // Participant-side protocol errors surface only if every supervisor
-    // session succeeded — the legacy `run_*` precedence. Under chaos the
-    // injected crashes *are* participant errors, so there they are part of
-    // the record (the fault log), not failures.
+    // session succeeded: a participant's failure is almost always a
+    // consequence of the supervisor's. Under chaos the injected crashes
+    // *are* participant errors, so there they are part of the record (the
+    // fault log), not failures.
     if config.chaos.is_none() {
         for result in part_outcomes.iter().flatten() {
             let _ = result.clone()?;
@@ -906,39 +931,24 @@ where
         .flat_map(|(r, (_, member, _))| (0..member.behaviours.len()).map(move |s| (r, s)))
         .collect();
 
-    // One session factory for both transports and both execution models:
-    // build the slot's participant state machine, tagged with its roster
-    // index.
-    let build_slot = |global_slot: usize| {
+    // One session factory for every transport: the slot's participant
+    // state machine as a poll-driven task, tagged with its roster index
+    // and multiplexed with every other slot over the scheduler's pool.
+    let make_task = |global_slot: usize, link: FaultyEndpoint| {
         let (r, s) = slot_table[global_slot];
         let (orig, member, _) = &roster[r];
-        let session = member.scheme.participant_session(ParticipantContext {
-            task,
-            screener,
-            behaviour: member.behaviours[s],
-            storage: config.storage,
-            parallelism: config.parallelism,
-            lanes: config.lanes,
-            ledger: part_ledgers[*orig].clone(),
-        });
-        (r, session)
-    };
-    // Thread-per-participant body (config.workers == None): drive the
-    // session over the blocking loop. The thread owns its link: finishing
-    // (or crashing) drops it, which is what lets a broker pump — and a
-    // supervisor blocked mid-recv — observe the hang-up.
-    let drive_slot = |global_slot: usize, link: &FaultyEndpoint| {
-        let (r, mut session) = build_slot(global_slot);
-        (r, drive_participant(link, session.as_mut()))
-    };
-    // Scheduler body (config.workers == Some(w)): the same session as a
-    // poll-driven task, multiplexed with every other slot over the pool.
-    let make_task = |global_slot: usize, link: FaultyEndpoint| {
-        let (r, session) = build_slot(global_slot);
         SlotTask {
             roster_index: r,
             link: Some(link),
-            session,
+            session: member.scheme.participant_session(ParticipantContext {
+                task,
+                screener,
+                behaviour: member.behaviours[s],
+                storage: config.storage,
+                parallelism: config.parallelism,
+                lanes: config.lanes,
+                ledger: part_ledgers[*orig].clone(),
+            }),
             outcome: None,
         }
     };
@@ -981,47 +991,28 @@ where
         }
         (sessions, part_results)
     } else {
-        match config.workers {
-            Some(workers) => {
-                let scheduler = GridScheduler::new(workers).with_steal_seed(config.steal_seed);
-                let tasks: Vec<SlotTask<'_>> = local_links
-                    .into_iter()
-                    .enumerate()
-                    .map(|(global_slot, link)| make_task(global_slot, link))
-                    .collect();
-                let (sessions, tasks) = std::thread::scope(|scope| {
-                    let pool = scope.spawn(move || scheduler.run(tasks));
-                    let sessions = engine.run(&mut engine_side);
-                    // Close the supervisor side so chaos-stalled
-                    // participants observe the hang-up instead of parking
-                    // forever (and so a broker pump winds down).
-                    drop(engine_side);
-                    (sessions, pool.join().expect("scheduler pool panicked"))
-                });
-                (
-                    sessions,
-                    tasks.into_iter().map(SlotTask::into_result).collect(),
-                )
-            }
-            None => std::thread::scope(|scope| {
-                let drive_slot = &drive_slot;
-                let handles: Vec<_> = local_links
-                    .into_iter()
-                    .enumerate()
-                    .map(|(global_slot, link)| scope.spawn(move || drive_slot(global_slot, &link)))
-                    .collect();
-                let sessions = engine.run(&mut engine_side);
-                // Close the supervisor side so chaos-stalled participants
-                // observe the hang-up instead of blocking forever (and so
-                // a broker pump winds down).
-                drop(engine_side);
-                let part_results: Vec<(usize, Result<bool, SchemeError>)> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet participant panicked"))
-                    .collect();
-                (sessions, part_results)
-            }),
-        }
+        let scheduler = config
+            .workers
+            .map_or_else(GridScheduler::available, GridScheduler::new)
+            .with_steal_seed(config.steal_seed);
+        let tasks: Vec<SlotTask<'_>> = local_links
+            .into_iter()
+            .enumerate()
+            .map(|(global_slot, link)| make_task(global_slot, link))
+            .collect();
+        let (sessions, tasks) = std::thread::scope(|scope| {
+            let pool = scope.spawn(move || scheduler.run(tasks));
+            let sessions = engine.run(&mut engine_side);
+            // Close the supervisor side so chaos-stalled participants
+            // observe the hang-up instead of parking forever (and so a
+            // broker pump winds down).
+            drop(engine_side);
+            (sessions, pool.join().expect("scheduler pool panicked"))
+        });
+        (
+            sessions,
+            tasks.into_iter().map(SlotTask::into_result).collect(),
+        )
     };
     if let Some(pump) = pump {
         // Relay counters are diagnostics only; the round's books come
@@ -1433,23 +1424,27 @@ mod tests {
         // rather than deadlocking on the orphaned participant.
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let fleet = vec![HonestWorker; 2];
+        let scheme = CbsScheme {
+            samples: 0,
+            seed: 1,
+            report_audit: 0,
+        };
+        let members: Vec<MemberSpec<'_, Sha256>> = (0..2)
+            .map(|_| MemberSpec {
+                scheme: &scheme,
+                behaviours: vec![&HonestWorker as &dyn WorkerBehaviour],
+            })
+            .collect();
         for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
-            let err = run_fleet_over::<Sha256, _, _, _>(
+            let err = run_mixed_fleet(
                 &task,
                 &screener,
                 Domain::new(0, 32),
-                &fleet,
-                &FleetConfig {
-                    scheme: FleetScheme::Cbs {
-                        samples: 0,
-                        report_audit: 0,
-                    },
-                    storage: ParticipantStorage::Full,
-                    seed: 1,
-                    parallelism: Parallelism::default(),
+                &members,
+                &MixedFleetConfig {
+                    transport,
+                    ..MixedFleetConfig::default()
                 },
-                transport,
             )
             .unwrap_err();
             assert!(

@@ -22,11 +22,11 @@
 use crate::sampling::draw_samples;
 use crate::scheme::{check_task, materialize, proof_to_wire, verify_sample, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, SampleProof, WorkerBehaviour};
+use crate::{ParticipantStorage, SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message, SampleProof, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, MerkleTree, Parallelism, PartialMerkleTree};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -34,30 +34,6 @@ use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 /// Below this many leaves a parallel tree build is not worth the thread
 /// spawns; the scheme layer falls back to the serial build.
 pub(crate) const PARALLEL_BUILD_MIN_LEAVES: usize = 1 << 10;
-
-/// Interactive CBS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CbsConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of samples `m`.
-    pub samples: usize,
-    /// Supervisor sampling seed (a fresh random value in production; a
-    /// fixed value in reproducible experiments).
-    pub seed: u64,
-    /// How many screened reports to audit by recomputation (0 disables;
-    /// an extension over the paper — catches the malicious model).
-    pub report_audit: usize,
-}
-
-/// What the participant learned from its side of the round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParticipantRun {
-    /// The verdict the supervisor announced.
-    pub accepted: bool,
-    /// Number of screened reports submitted.
-    pub reports_sent: usize,
-}
 
 /// The participant's tree, full or partial, behind one proving interface.
 pub(crate) enum ParticipantTree<H: HashFunction> {
@@ -155,9 +131,7 @@ impl<H: HashFunction> ParticipantTree<H> {
 /// challenge → sample proofs → verdict, with the samples drawn by the
 /// supervisor *after* the commitment arrives (Section 3.1).
 ///
-/// This is the session-engine face of the scheme; `samples`, `seed` and
-/// `report_audit` mean exactly what they do on [`CbsConfig`] (the wire
-/// task id comes from the session context instead).
+/// The wire task id comes from the session context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CbsScheme {
     /// Number of samples `m`.
@@ -338,7 +312,6 @@ pub(crate) struct CbsParticipantSession<'a, H: HashFunction> {
     lanes: LaneWidth,
     ledger: CostLedger,
     state: PartState<H>,
-    reports_sent: usize,
 }
 
 impl<'a, H: HashFunction> CbsParticipantSession<'a, H> {
@@ -352,12 +325,7 @@ impl<'a, H: HashFunction> CbsParticipantSession<'a, H> {
             lanes: ctx.lanes,
             ledger: ctx.ledger,
             state: PartState::AwaitAssign,
-            reports_sent: 0,
         }
-    }
-
-    pub(crate) fn reports_sent(&self) -> usize {
-        self.reports_sent
     }
 }
 
@@ -423,7 +391,6 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
                         &self.ledger,
                     )?);
                 }
-                self.reports_sent = reports.len();
                 let out = vec![
                     Message::Proofs { task_id, proofs },
                     Message::Reports {
@@ -462,128 +429,6 @@ impl<H: HashFunction> ParticipantSession for CbsParticipantSession<'_, H> {
     }
 }
 
-/// Runs the participant side of interactive CBS over `endpoint`, building
-/// the commitment tree with the default parallelism (one thread per
-/// available core); see [`participant_cbs_with`].
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-pub fn participant_cbs<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    ledger: &CostLedger,
-) -> Result<ParticipantRun, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    participant_cbs_with::<H, T, S, B>(
-        endpoint,
-        task,
-        screener,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        ledger,
-    )
-}
-
-/// Runs the participant side of interactive CBS over `endpoint`.
-///
-/// A thin wrapper over the session engine's state machine: it builds the
-/// scheme's [`ParticipantSession`] and drives it to completion with
-/// blocking receives (Assign → Commit → Challenge → Proofs → Verdict).
-/// All computation costs are charged to `ledger`; the commitment tree
-/// builds with up to `parallelism` threads and the digest lane width
-/// `lanes` (bit-identical to the serial scalar build at any setting).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-#[allow(clippy::too_many_arguments)]
-pub fn participant_cbs_with<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    ledger: &CostLedger,
-) -> Result<ParticipantRun, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = CbsParticipantSession::<H>::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage,
-        parallelism,
-        lanes,
-        ledger: ledger.clone(),
-    });
-    let accepted = drive_participant(endpoint, &mut session)?;
-    Ok(ParticipantRun {
-        accepted,
-        reports_sent: session.reports_sent(),
-    })
-}
-
-/// Runs the supervisor side of interactive CBS over `endpoint` — a thin
-/// wrapper that drives the scheme's [`SupervisorSession`] to completion
-/// with blocking receives.
-///
-/// Returns the verdict and the screened reports received (reports are kept
-/// even on rejection, for inspection; a production supervisor would
-/// discard them).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration
-/// (`samples == 0`).
-pub fn supervisor_cbs<H, T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &CbsConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = CbsScheme {
-        samples: config.samples,
-        seed: config.seed,
-        report_audit: config.report_audit,
-    };
-    let mut session = VerificationScheme::<H>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
 /// The supervisor's Step 4 as a standalone building block: checks that
 /// `proofs` answer exactly `samples` against the commitment `root`, that
 /// every claimed `f(x)` is correct, that every reconstruction matches the
@@ -591,8 +436,8 @@ where
 ///
 /// Exposed so custom supervisors — e.g. one behind a
 /// [`Broker`](ugc_grid::Broker) driving many participants over shared
-/// endpoints — can reuse the verification logic outside
-/// [`supervisor_cbs`]/[`supervisor_ni_cbs`](crate::scheme::ni_cbs::supervisor_ni_cbs).
+/// endpoints — can reuse the verification logic outside the CBS and
+/// NI-CBS supervisor sessions.
 ///
 /// # Errors
 ///
@@ -635,122 +480,49 @@ pub fn verify_round<H: HashFunction>(
     Ok(Verdict::Accepted)
 }
 
-/// Runs a complete interactive CBS round in-process with the default
-/// tree-build parallelism (one thread per available core); see
-/// [`run_cbs_with`].
-///
-/// # Errors
-///
-/// As [`run_cbs_with`].
-pub fn run_cbs<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    config: &CbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    run_cbs_with::<H, T, S, B>(
-        task,
-        screener,
-        domain,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        config,
-    )
-}
-
-/// Runs a complete interactive CBS round in-process: supervisor on the
-/// calling thread, participant on a scoped thread, duplex link between
-/// them. The participant's commitment tree builds with up to
-/// `parallelism` threads and the digest lane width `lanes`. Returns full
-/// cost and traffic accounting.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail (the participant's
-/// failure is almost always a consequence).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cbs_with<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &CbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope.spawn(move || {
-            participant_cbs_with::<H, T, S, B>(
-                &part_ep,
-                task,
-                screener,
-                behaviour,
-                storage,
-                parallelism,
-                lanes,
-                &thread_ledger,
-            )
-        });
-        let sup = supervisor_cbs::<H, T, S>(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Drop the supervisor endpoint before joining: if the supervisor
-        // bailed early the participant is still blocked on recv and must
-        // observe the disconnect, or this join would deadlock.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?; // participant errors surface only if supervisor succeeded
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_scheme, MixedFleetConfig, RoundOutcome};
     use ugc_grid::{CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater};
     use ugc_hash::{Md5, Sha256};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(m: usize, seed: u64) -> CbsConfig {
-        CbsConfig {
-            task_id: 7,
+    fn config(m: usize, seed: u64) -> CbsScheme {
+        CbsScheme {
             samples: m,
             seed,
             report_audit: 0,
         }
+    }
+
+    /// One round of `scheme` through [`run_scheme`] with the given
+    /// storage mode and the default execution settings.
+    fn run<H: HashFunction, S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        behaviour: &dyn WorkerBehaviour,
+        storage: ParticipantStorage,
+        scheme: &CbsScheme,
+    ) -> Result<RoundOutcome, SchemeError> {
+        let config = MixedFleetConfig {
+            storage,
+            ..MixedFleetConfig::default()
+        };
+        run_with::<H, S>(task, screener, domain, behaviour, &config, scheme)
+    }
+
+    fn run_with<H: HashFunction, S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        behaviour: &dyn WorkerBehaviour,
+        config: &MixedFleetConfig,
+        scheme: &CbsScheme,
+    ) -> Result<RoundOutcome, SchemeError> {
+        run_scheme::<H, _, _>(task, screener, domain, scheme, &[behaviour], config)
     }
 
     #[test]
@@ -759,7 +531,7 @@ mod tests {
         for (n, seed) in [(16u64, 1u64), (100, 2), (257, 3)] {
             let task = PasswordSearch::with_hidden_password(9, 3);
             let screener = task.match_screener();
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = run::<Sha256, _>(
                 &task,
                 &screener,
                 Domain::new(0, n),
@@ -777,7 +549,7 @@ mod tests {
     fn honest_reports_reach_supervisor() {
         let task = PasswordSearch::with_hidden_password(9, 37);
         let screener = task.match_screener();
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -796,7 +568,7 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.1, CheatSelection::Scattered, ZeroGuesser::new(5), 11);
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 256),
@@ -818,7 +590,7 @@ mod tests {
             ParticipantStorage::Partial { subtree_height: 2 },
             ParticipantStorage::Partial { subtree_height: 5 },
         ] {
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = run::<Sha256, _>(
                 &task,
                 &screener,
                 Domain::new(0, 128),
@@ -835,7 +607,7 @@ mod tests {
     fn partial_storage_charges_rebuild_f_evals() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let full = run_cbs::<Sha256, _, _, _>(
+        let full = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -844,7 +616,7 @@ mod tests {
             &config(8, 9),
         )
         .unwrap();
-        let partial = run_cbs::<Sha256, _, _, _>(
+        let partial = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -866,7 +638,7 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(5), 3);
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -887,25 +659,27 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(4, 99);
         let screener = task.match_screener();
         let domain = Domain::new(0, PARALLEL_BUILD_MIN_LEAVES as u64 * 2);
-        let serial = run_cbs_with::<Sha256, _, _, _>(
+        let serial = run_with::<Sha256, _>(
             &task,
             &screener,
             domain,
             &HonestWorker,
-            ParticipantStorage::Full,
-            Parallelism::serial(),
-            LaneWidth::default(),
+            &MixedFleetConfig {
+                parallelism: Parallelism::serial(),
+                ..MixedFleetConfig::default()
+            },
             &config(8, 3),
         )
         .unwrap();
-        let parallel = run_cbs_with::<Sha256, _, _, _>(
+        let parallel = run_with::<Sha256, _>(
             &task,
             &screener,
             domain,
             &HonestWorker,
-            ParticipantStorage::Full,
-            Parallelism::threads(4),
-            LaneWidth::default(),
+            &MixedFleetConfig {
+                parallelism: Parallelism::threads(4),
+                ..MixedFleetConfig::default()
+            },
             &config(8, 3),
         )
         .unwrap();
@@ -932,26 +706,30 @@ mod tests {
         // identical at every width, serial or parallel.
         let task = PasswordSearch::with_hidden_password(4, 17);
         let screener = task.match_screener();
-        let reference = run_cbs_with::<Sha256, _, _, _>(
+        let reference = run_with::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 300),
             &HonestWorker,
-            ParticipantStorage::Full,
-            Parallelism::serial(),
-            LaneWidth::Scalar,
+            &MixedFleetConfig {
+                parallelism: Parallelism::serial(),
+                lanes: LaneWidth::Scalar,
+                ..MixedFleetConfig::default()
+            },
             &config(8, 3),
         )
         .unwrap();
         for lanes in [LaneWidth::X4, LaneWidth::X8] {
-            let outcome = run_cbs_with::<Sha256, _, _, _>(
+            let outcome = run_with::<Sha256, _>(
                 &task,
                 &screener,
                 Domain::new(0, 300),
                 &HonestWorker,
-                ParticipantStorage::Full,
-                Parallelism::serial(),
-                lanes,
+                &MixedFleetConfig {
+                    parallelism: Parallelism::serial(),
+                    lanes,
+                    ..MixedFleetConfig::default()
+                },
                 &config(8, 3),
             )
             .unwrap();
@@ -971,7 +749,7 @@ mod tests {
     fn md5_variant_works() {
         let task = PasswordSearch::with_hidden_password(2, 4);
         let screener = task.match_screener();
-        let outcome = run_cbs::<Md5, _, _, _>(
+        let outcome = run::<Md5, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -989,7 +767,7 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(3, 10);
         let screener = ugc_task::AcceptAllScreener;
         let malicious = MaliciousWorker::new(1.0, 8);
-        let no_audit = run_cbs::<Sha256, _, _, _>(
+        let no_audit = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -1002,7 +780,7 @@ mod tests {
         // …but the report audit extension catches the corrupted payloads.
         let mut audited_config = config(10, 6);
         audited_config.report_audit = 4;
-        let audited = run_cbs::<Sha256, _, _, _>(
+        let audited = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -1021,7 +799,7 @@ mod tests {
         let screener = task.match_screener();
         let mut received = Vec::new();
         for bits in [8u32, 10, 12] {
-            let outcome = run_cbs::<Sha256, _, _, _>(
+            let outcome = run::<Sha256, _>(
                 &task,
                 &screener,
                 Domain::new(0, 1 << bits),
@@ -1044,7 +822,7 @@ mod tests {
     fn zero_samples_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let err = run_cbs::<Sha256, _, _, _>(
+        let err = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 16),
@@ -1060,7 +838,7 @@ mod tests {
     fn supervisor_verification_cost_scales_with_m() {
         let task = PasswordSearch::with_hidden_password(1, 1);
         let screener = task.match_screener();
-        let small = run_cbs::<Sha256, _, _, _>(
+        let small = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 256),
@@ -1069,7 +847,7 @@ mod tests {
             &config(5, 3),
         )
         .unwrap();
-        let large = run_cbs::<Sha256, _, _, _>(
+        let large = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 256),

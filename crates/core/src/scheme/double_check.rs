@@ -8,20 +8,13 @@
 use crate::scheme::check_task;
 use crate::scheme::naive::FlatUploadParticipantSession;
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use crate::{SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message};
 use ugc_hash::HashFunction;
-use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
-
-/// Double-check parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DoubleCheckConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-}
+use ugc_task::{ComputeTask, Domain, Screener};
 
 /// The double-check scheme as a [`VerificationScheme`]. The only
 /// two-slot scheme: one supervisor session spans *two* participant
@@ -203,160 +196,47 @@ impl SupervisorSession for DoubleCheckSupervisorSession<'_> {
     }
 }
 
-/// Runs the replica (participant) side: evaluate and upload everything. A
-/// thin wrapper driving the shared flat-upload [`ParticipantSession`].
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn participant_double_check<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = FlatUploadParticipantSession::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage: crate::ParticipantStorage::Full,
-        parallelism: ugc_merkle::Parallelism::serial(),
-        lanes: ugc_merkle::LaneWidth::default(),
-        ledger: ledger.clone(),
-    });
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor against two replicas: assign the same domain to
-/// both, compare their uploads byte-for-byte, screen the agreed results.
-/// A thin wrapper driving the scheme's two-slot [`SupervisorSession`]
-/// over the pair of endpoints.
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn supervisor_double_check<T, S>(
-    endpoint_a: &Endpoint,
-    endpoint_b: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &DoubleCheckConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = DoubleCheckScheme;
-    let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id; 2],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint_a, endpoint_b], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete double-check round: two replicas on scoped threads.
-///
-/// The returned outcome's `participant_costs` is the **sum over both
-/// replicas** — the paper's point is precisely that this doubles the spent
-/// cycles.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if multiple sides fail.
-pub fn run_double_check<T, S, BA, BB>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    replica_a: &BA,
-    replica_b: &BB,
-    config: &DoubleCheckConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    BA: WorkerBehaviour,
-    BB: WorkerBehaviour,
-{
-    let (sup_a, part_a) = duplex();
-    let (sup_b, part_b) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new(); // shared: we want the total burn
-
-    let (sup_result, a_result, b_result, link) = std::thread::scope(|scope| {
-        // Each replica owns its endpoint so an early exit unblocks the
-        // supervisor mid-recv.
-        let ledger_a = part_ledger.clone();
-        let ledger_b = part_ledger.clone();
-        let handle_a = scope
-            .spawn(move || participant_double_check(&part_a, task, screener, replica_a, &ledger_a));
-        let handle_b = scope
-            .spawn(move || participant_double_check(&part_b, task, screener, replica_b, &ledger_b));
-        let sup =
-            supervisor_double_check(&sup_a, &sup_b, task, screener, domain, config, &sup_ledger);
-        let mut link = sup_a.stats();
-        let b_stats = sup_b.stats();
-        link.bytes_sent += b_stats.bytes_sent;
-        link.bytes_received += b_stats.bytes_received;
-        link.messages_sent += b_stats.messages_sent;
-        link.messages_received += b_stats.messages_received;
-        // Unblock waiting replicas if the supervisor bailed early.
-        drop(sup_a);
-        drop(sup_b);
-        (
-            sup,
-            handle_a.join().expect("replica A panicked"),
-            handle_b.join().expect("replica B panicked"),
-            link,
-        )
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = a_result?;
-    let _ = b_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use crate::{run_scheme, MixedFleetConfig, RoundOutcome};
+    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater, WorkerBehaviour};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    const CONFIG: DoubleCheckConfig = DoubleCheckConfig { task_id: 4 };
+    /// One double-check round through [`run_scheme`]. The outcome's
+    /// `participant_costs` is the **sum over both replicas** — the
+    /// paper's point is precisely that this doubles the spent cycles.
+    fn run<S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        replica_a: &dyn WorkerBehaviour,
+        replica_b: &dyn WorkerBehaviour,
+    ) -> Result<RoundOutcome, SchemeError> {
+        let config = MixedFleetConfig::default();
+        let replicas = [replica_a, replica_b];
+        run_scheme::<Sha256, _, _>(
+            task,
+            screener,
+            domain,
+            &DoubleCheckScheme,
+            &replicas,
+            &config,
+        )
+    }
 
     #[test]
     fn two_honest_replicas_agree() {
         let task = PasswordSearch::with_hidden_password(1, 20);
         let screener = task.match_screener();
-        let outcome = run_double_check(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 64),
             &HonestWorker,
             &HonestWorker,
-            &CONFIG,
         )
         .unwrap();
         assert!(outcome.accepted);
@@ -371,13 +251,12 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.9, CheatSelection::Scattered, ZeroGuesser::new(2), 3);
-        let outcome = run_double_check(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 64),
             &HonestWorker,
             &cheater,
-            &CONFIG,
         )
         .unwrap();
         assert!(!outcome.accepted);
@@ -394,15 +273,7 @@ mod tests {
         let screener = task.match_screener();
         let cheater_a = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(7), 1);
         let cheater_b = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(7), 1);
-        let outcome = run_double_check(
-            &task,
-            &screener,
-            Domain::new(0, 64),
-            &cheater_a,
-            &cheater_b,
-            &CONFIG,
-        )
-        .unwrap();
+        let outcome = run(&task, &screener, Domain::new(0, 64), &cheater_a, &cheater_b).unwrap();
         assert!(
             outcome.accepted,
             "colluding replicas slip through double-check"
@@ -413,13 +284,12 @@ mod tests {
     fn traffic_is_double_the_naive_upload() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let outcome = run_double_check(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 256),
             &HonestWorker,
             &HonestWorker,
-            &CONFIG,
         )
         .unwrap();
         // Two uploads of n × 16 bytes dominate the inbound traffic.
@@ -432,13 +302,12 @@ mod tests {
         let screener = task.match_screener();
         // Cheater honest on prefix 32 of 64: first divergence at 32.
         let cheater = SemiHonestCheater::new(0.5, CheatSelection::Prefix, ZeroGuesser::new(5), 9);
-        let outcome = run_double_check(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 64),
             &HonestWorker,
             &cheater,
-            &CONFIG,
         )
         .unwrap();
         assert_eq!(outcome.verdict, Verdict::ReplicaDisagreement { index: 32 });

@@ -1,6 +1,6 @@
 //! The verification schemes: the paper's CBS/NI-CBS and all baselines.
 //!
-//! Each scheme exposes three layers:
+//! Each scheme exposes two layers:
 //!
 //! 1. a *scheme object* ([`cbs::CbsScheme`], [`ni_cbs::NiCbsScheme`],
 //!    [`naive::NaiveScheme`], [`double_check::DoubleCheckScheme`],
@@ -8,15 +8,13 @@
 //!    [`VerificationScheme`](crate::session::VerificationScheme) — the
 //!    message-driven supervisor/participant state machines a
 //!    [`SessionEngine`](crate::engine::SessionEngine) multiplexes over any
-//!    transport, including a [`Broker`](ugc_grid::Broker);
-//! 2. `supervisor_*` / `participant_*` — thin wrappers that drive one
-//!    session to completion over a blocking
-//!    [`Endpoint`](ugc_grid::Endpoint), and `run_*` — a convenience that
-//!    wires a duplex link, runs the participant on a scoped thread, and
+//!    transport, including a [`Broker`](ugc_grid::Broker). One round of
+//!    any of them runs through [`run_scheme`](crate::run_scheme), which
 //!    returns a [`RoundOutcome`](crate::RoundOutcome) with full cost and
 //!    traffic accounting;
-//! 3. attack entry points (e.g. [`ni_cbs::retry_attack`]) where the paper
-//!    analyses one.
+//! 2. analysis helpers: the supervisor's verification step
+//!    ([`cbs::verify_round`]) and attack entry points (e.g.
+//!    [`ni_cbs::retry_attack`]) where the paper analyses one.
 
 pub mod cbs;
 pub mod double_check;

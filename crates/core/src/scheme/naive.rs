@@ -9,29 +9,16 @@
 use crate::sampling::draw_samples;
 use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use crate::{SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
-/// Naive-sampling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NaiveConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of spot-checked samples `m`.
-    pub samples: usize,
-    /// Supervisor sampling seed.
-    pub seed: u64,
-}
-
 /// The naive sampling scheme as a [`VerificationScheme`]: flat `O(n)`
 /// upload, spot-check `m` samples by recomputation.
-///
-/// Parameters mirror [`NaiveConfig`] minus the task id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NaiveScheme {
     /// Number of spot-checked samples `m`.
@@ -263,140 +250,37 @@ impl ParticipantSession for FlatUploadParticipantSession<'_> {
     }
 }
 
-/// Runs the participant side: evaluate and upload every result. A thin
-/// wrapper driving the shared flat-upload [`ParticipantSession`].
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn participant_naive<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = FlatUploadParticipantSession::new(ParticipantContext {
-        task,
-        screener,
-        behaviour,
-        storage: crate::ParticipantStorage::Full,
-        parallelism: ugc_merkle::Parallelism::serial(),
-        lanes: ugc_merkle::LaneWidth::default(),
-        ledger: ledger.clone(),
-    });
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor side: receive the flat upload, spot-check `m`
-/// samples by recomputation, screen the (verified) results itself. A thin
-/// wrapper driving the scheme's [`SupervisorSession`].
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration.
-pub fn supervisor_naive<T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &NaiveConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = NaiveScheme {
-        samples: config.samples,
-        seed: config.seed,
-    };
-    // The scheme is hash-free; instantiate its trait face with any digest.
-    let mut session = VerificationScheme::<ugc_hash::Sha256>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete naive-sampling round in-process.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
-pub fn run_naive<T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    config: &NaiveConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope
-            .spawn(move || participant_naive(&part_ep, task, screener, behaviour, &thread_ledger));
-        let sup = supervisor_naive(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use crate::session::drive_supervisor;
+    use crate::{run_scheme, MixedFleetConfig, RoundOutcome};
+    use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(m: usize, seed: u64) -> NaiveConfig {
-        NaiveConfig {
-            task_id: 2,
-            samples: m,
-            seed,
-        }
+    fn config(m: usize, seed: u64) -> NaiveScheme {
+        NaiveScheme { samples: m, seed }
+    }
+
+    /// One round of `scheme` through [`run_scheme`].
+    fn run<S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        behaviour: &dyn WorkerBehaviour,
+        scheme: &NaiveScheme,
+    ) -> Result<RoundOutcome, SchemeError> {
+        let config = MixedFleetConfig::default();
+        run_scheme::<Sha256, _, _>(task, screener, domain, scheme, &[behaviour], &config)
     }
 
     #[test]
     fn honest_accepted_with_reports() {
         let task = PasswordSearch::with_hidden_password(3, 40);
         let screener = task.match_screener();
-        let outcome = run_naive(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -415,7 +299,7 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.2, CheatSelection::Scattered, ZeroGuesser::new(7), 5);
-        let outcome = run_naive(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -433,7 +317,7 @@ mod tests {
         let screener = task.match_screener();
         let mut bytes = Vec::new();
         for bits in [6u32, 8] {
-            let outcome = run_naive(
+            let outcome = run(
                 &task,
                 &screener,
                 Domain::new(0, 1 << bits),
@@ -469,8 +353,18 @@ mod tests {
                     .unwrap();
             });
             let screener = task.match_screener();
-            let err = supervisor_naive(&sup_ep, &task, &screener, domain, &config(4, 1), &ledger)
-                .unwrap_err();
+            let scheme = config(4, 1);
+            let mut session = VerificationScheme::<Sha256>::supervisor_session(
+                &scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain,
+                    task_ids: vec![2],
+                    ledger: ledger.clone(),
+                },
+            );
+            let err = drive_supervisor(&sup_ep, session.as_mut()).unwrap_err();
             assert_eq!(
                 err,
                 SchemeError::MalformedPayload {
@@ -484,7 +378,7 @@ mod tests {
     fn supervisor_work_is_m_not_n() {
         let task = PasswordSearch::with_hidden_password(3, 1);
         let screener = task.match_screener();
-        let outcome = run_naive(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 1 << 10),

@@ -17,46 +17,26 @@ use crate::sampling::{derive_samples, derive_until_outside};
 use crate::scheme::cbs::{verify_round, ParticipantTree};
 use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{ParticipantStorage, RoundOutcome, SchemeError, Verdict};
-use ugc_grid::{
-    duplex, Assignment, CostLedger, Endpoint, Message, SampleProof, SemiHonestCheater,
-    WorkerBehaviour,
-};
+use crate::{ParticipantStorage, SchemeError, Verdict};
+use ugc_grid::{Assignment, CostLedger, Message, SampleProof, SemiHonestCheater, WorkerBehaviour};
 use ugc_hash::{HashFunction, IteratedHash};
 use ugc_merkle::{LaneWidth, MerkleTree, Parallelism};
 use ugc_task::{ComputeTask, Domain, Guesser, ScreenReport, Screener};
 
-/// Non-interactive CBS parameters.
+/// The non-interactive CBS scheme as a [`VerificationScheme`]: one
+/// participant → supervisor delivery, samples self-derived from the
+/// commitment via Eq. (4). The wire task id comes from the session
+/// context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NiCbsConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
+pub struct NiCbsScheme {
     /// Number of self-derived samples `m`.
     pub samples: usize,
     /// Iteration count `k` of the sample generator `g = H^k` (Section 4.2
     /// hardening; 1 = plain hash). Choose with
     /// [`analysis::min_g_cost_for_uncheatability`](crate::analysis::min_g_cost_for_uncheatability).
-    pub g_iterations: u64,
-    /// Screened-report audit size (0 disables).
-    pub report_audit: usize,
-    /// Seed for the report audit selection.
-    pub audit_seed: u64,
-}
-
-/// The non-interactive CBS scheme as a [`VerificationScheme`]: one
-/// participant → supervisor delivery, samples self-derived from the
-/// commitment via Eq. (4).
-///
-/// Parameters mirror [`NiCbsConfig`] minus the task id (the session
-/// context supplies it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NiCbsScheme {
-    /// Number of self-derived samples `m`.
-    pub samples: usize,
-    /// Iteration count `k` of the sample generator `g = H^k`.
     pub g_iterations: u64,
     /// Screened-report audit size (0 disables).
     pub report_audit: usize,
@@ -325,228 +305,6 @@ impl<H: HashFunction> ParticipantSession for NiCbsParticipantSession<'_, H> {
     }
 }
 
-/// Runs the participant side of NI-CBS with the default tree-build
-/// parallelism (one thread per available core); see
-/// [`participant_ni_cbs_with`].
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-pub fn participant_ni_cbs<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    participant_ni_cbs_with::<H, T, S, B>(
-        endpoint,
-        task,
-        screener,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        config,
-        ledger,
-    )
-}
-
-/// Runs the participant side of NI-CBS: evaluate, commit, self-derive
-/// samples, prove, ship everything in one shot. A thin wrapper that
-/// drives the scheme's [`ParticipantSession`] over blocking receives; the
-/// commitment tree builds with up to `parallelism` threads (bit-identical
-/// to serial).
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or Merkle errors.
-#[allow(clippy::too_many_arguments)]
-pub fn participant_ni_cbs_with<H, T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let scheme = NiCbsScheme {
-        samples: config.samples,
-        g_iterations: config.g_iterations,
-        report_audit: config.report_audit,
-        audit_seed: config.audit_seed,
-    };
-    let mut session = VerificationScheme::<H>::participant_session(
-        &scheme,
-        ParticipantContext {
-            task,
-            screener,
-            behaviour,
-            storage,
-            parallelism,
-            lanes,
-            ledger: ledger.clone(),
-        },
-    );
-    drive_participant(endpoint, session.as_mut())
-}
-
-/// Runs the supervisor side of NI-CBS: assign, receive the single-shot
-/// commitment, re-derive the samples from the root, verify. A thin
-/// wrapper that drives the scheme's [`SupervisorSession`] over blocking
-/// receives.
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration.
-pub fn supervisor_ni_cbs<H, T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    config: &NiCbsConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = NiCbsScheme {
-        samples: config.samples,
-        g_iterations: config.g_iterations,
-        report_audit: config.report_audit,
-        audit_seed: config.audit_seed,
-    };
-    let mut session = VerificationScheme::<H>::supervisor_session(
-        &scheme,
-        SupervisorContext {
-            task,
-            screener,
-            domain,
-            task_ids: vec![config.task_id],
-            ledger: ledger.clone(),
-        },
-    );
-    let outcome = drive_supervisor(&[endpoint], session.as_mut())?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete NI-CBS round in-process with the default tree-build
-/// parallelism (one thread per available core); see [`run_ni_cbs_with`].
-///
-/// # Errors
-///
-/// As [`run_ni_cbs_with`].
-pub fn run_ni_cbs<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    config: &NiCbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    run_ni_cbs_with::<H, T, S, B>(
-        task,
-        screener,
-        domain,
-        behaviour,
-        storage,
-        Parallelism::default(),
-        LaneWidth::default(),
-        config,
-    )
-}
-
-/// Runs a complete NI-CBS round in-process (supervisor + scoped-thread
-/// participant over a duplex link); the participant's commitment tree
-/// builds with up to `parallelism` threads and the digest lane width
-/// `lanes`.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ni_cbs_with<H, T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    storage: ParticipantStorage,
-    parallelism: Parallelism,
-    lanes: LaneWidth,
-    config: &NiCbsConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    H: HashFunction,
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope.spawn(move || {
-            participant_ni_cbs_with::<H, T, S, B>(
-                &part_ep,
-                task,
-                screener,
-                behaviour,
-                storage,
-                parallelism,
-                lanes,
-                config,
-                &thread_ledger,
-            )
-        });
-        let sup =
-            supervisor_ni_cbs::<H, T, S>(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
-}
-
 /// Configuration of the Section 4.2 retry attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryAttackConfig {
@@ -680,14 +438,15 @@ where
 mod tests {
     use super::*;
     use crate::analysis;
-    use ugc_grid::{CheatSelection, HonestWorker};
+    use crate::session::drive_supervisor;
+    use crate::{run_scheme, MixedFleetConfig, RoundOutcome};
+    use ugc_grid::{duplex, CheatSelection, HonestWorker};
     use ugc_hash::{Md5, Sha256};
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(m: usize) -> NiCbsConfig {
-        NiCbsConfig {
-            task_id: 3,
+    fn config(m: usize) -> NiCbsScheme {
+        NiCbsScheme {
             samples: m,
             g_iterations: 1,
             report_audit: 0,
@@ -695,11 +454,28 @@ mod tests {
         }
     }
 
+    /// One round of `scheme` through [`run_scheme`] with the given
+    /// storage mode.
+    fn run<H: HashFunction, S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        behaviour: &dyn WorkerBehaviour,
+        storage: ParticipantStorage,
+        scheme: &NiCbsScheme,
+    ) -> Result<RoundOutcome, SchemeError> {
+        let config = MixedFleetConfig {
+            storage,
+            ..MixedFleetConfig::default()
+        };
+        run_scheme::<H, _, _>(task, screener, domain, scheme, &[behaviour], &config)
+    }
+
     #[test]
     fn honest_participant_accepted() {
         let task = PasswordSearch::with_hidden_password(5, 9);
         let screener = task.match_screener();
-        let outcome = run_ni_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -722,7 +498,7 @@ mod tests {
         let screener = task.match_screener();
         let cheater =
             SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(1), 2);
-        let outcome = run_ni_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 256),
@@ -740,7 +516,7 @@ mod tests {
         let screener = task.match_screener();
         let mut cfg = config(8);
         cfg.g_iterations = 50;
-        let outcome = run_ni_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -758,7 +534,7 @@ mod tests {
     fn partial_storage_works_non_interactively() {
         let task = PasswordSearch::with_hidden_password(5, 9);
         let screener = task.match_screener();
-        let outcome = run_ni_cbs::<Md5, _, _, _>(
+        let outcome = run::<Md5, _>(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -776,7 +552,7 @@ mod tests {
         // Verdict out. No Challenge.
         let task = PasswordSearch::with_hidden_password(5, 9);
         let screener = task.match_screener();
-        let outcome = run_ni_cbs::<Sha256, _, _, _>(
+        let outcome = run::<Sha256, _>(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -801,7 +577,17 @@ mod tests {
             scope.spawn(|| {
                 let screener = task.match_screener();
                 let cfg = config(4);
-                supervisor_ni_cbs::<Sha256, _, _>(&sup_ep, &task, &screener, domain, &cfg, &ledger)
+                let mut session = VerificationScheme::<Sha256>::supervisor_session(
+                    &cfg,
+                    SupervisorContext {
+                        task: &task,
+                        screener: &screener,
+                        domain,
+                        task_ids: vec![3],
+                        ledger: ledger.clone(),
+                    },
+                );
+                drive_supervisor(&sup_ep, session.as_mut())
             });
             // Forging participant: commits honestly but proves samples 0..4.
             let Message::Assign(a) = part_ep.recv().unwrap() else {

@@ -14,31 +14,18 @@
 
 use crate::scheme::{check_task, materialize, Materialized};
 use crate::session::{
-    drive_participant, drive_supervisor, unexpected, Outbound, ParticipantContext,
-    ParticipantSession, SessionOutcome, SupervisorContext, SupervisorSession, VerificationScheme,
+    unexpected, Outbound, ParticipantContext, ParticipantSession, SessionOutcome,
+    SupervisorContext, SupervisorSession, VerificationScheme,
 };
-use crate::{RoundOutcome, SchemeError, Verdict};
+use crate::{SchemeError, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use ugc_grid::{duplex, Assignment, CostLedger, Endpoint, Message, WorkerBehaviour};
+use ugc_grid::{Assignment, CostLedger, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
 
-/// Ringer-scheme parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingerConfig {
-    /// Task identifier carried on every message.
-    pub task_id: u64,
-    /// Number of ringers `d` planted in the domain.
-    pub ringers: usize,
-    /// Seed for secret ringer placement.
-    pub seed: u64,
-}
-
 /// The ringer scheme as a [`VerificationScheme`].
-///
-/// Parameters mirror [`RingerConfig`] minus the task id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingerScheme {
     /// Number of ringers `d` planted in the domain.
@@ -289,130 +276,30 @@ impl ParticipantSession for RingerParticipantSession<'_> {
     }
 }
 
-/// Runs the participant side: evaluate the domain, report any result that
-/// matches a ringer, plus the screened results. A thin wrapper driving
-/// the scheme's [`ParticipantSession`].
-///
-/// # Errors
-///
-/// Transport failures or malformed peer messages.
-pub fn participant_ringer<T, S, B>(
-    endpoint: &Endpoint,
-    task: &T,
-    screener: &S,
-    behaviour: &B,
-    ledger: &CostLedger,
-) -> Result<bool, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let mut session = RingerParticipantSession {
-        task,
-        screener,
-        behaviour,
-        ledger: ledger.clone(),
-        state: PartState::AwaitAssign,
-    };
-    drive_participant(endpoint, &mut session)
-}
-
-/// Runs the supervisor side: plant `d` secret ringers, check they all come
-/// back.
-///
-/// # Errors
-///
-/// Transport failures, malformed peer messages, or invalid configuration
-/// (more ringers than domain inputs, or zero ringers).
-pub fn supervisor_ringer<T, S>(
-    endpoint: &Endpoint,
-    task: &T,
-    _screener: &S,
-    domain: Domain,
-    config: &RingerConfig,
-    ledger: &CostLedger,
-) -> Result<(Verdict, Vec<ScreenReport>), SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-{
-    let scheme = RingerScheme {
-        ringers: config.ringers,
-        seed: config.seed,
-    };
-    let mut session = RingerSupervisorSession {
-        scheme,
-        task_id: config.task_id,
-        task,
-        domain,
-        ledger: ledger.clone(),
-        state: SupState::NotStarted,
-        outcome: None,
-    };
-    let outcome = drive_supervisor(&[endpoint], &mut session)?;
-    Ok((outcome.verdict, outcome.reports))
-}
-
-/// Runs a complete ringer round in-process.
-///
-/// # Errors
-///
-/// Propagates the supervisor's error if both sides fail.
-pub fn run_ringer<T, S, B>(
-    task: &T,
-    screener: &S,
-    domain: Domain,
-    behaviour: &B,
-    config: &RingerConfig,
-) -> Result<RoundOutcome, SchemeError>
-where
-    T: ComputeTask,
-    S: Screener,
-    B: WorkerBehaviour,
-{
-    let (sup_ep, part_ep) = duplex();
-    let sup_ledger = CostLedger::new();
-    let part_ledger = CostLedger::new();
-
-    let (sup_result, part_result, link) = std::thread::scope(|scope| {
-        // The participant owns its endpoint so that an early exit (error or
-        // completion) drops it and unblocks a supervisor mid-recv.
-        let thread_ledger = part_ledger.clone();
-        let part_handle = scope
-            .spawn(move || participant_ringer(&part_ep, task, screener, behaviour, &thread_ledger));
-        let sup = supervisor_ringer(&sup_ep, task, screener, domain, config, &sup_ledger);
-        let link = sup_ep.stats();
-        // Unblock a waiting participant if the supervisor bailed early.
-        drop(sup_ep);
-        let part = part_handle.join().expect("participant thread panicked");
-        (sup, part, link)
-    });
-
-    let (verdict, reports) = sup_result?;
-    let _ = part_result?;
-    Ok(RoundOutcome::new(
-        verdict,
-        sup_ledger.report(),
-        part_ledger.report(),
-        link,
-        reports,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugc_grid::{CheatSelection, HonestWorker, SemiHonestCheater};
+    use crate::session::drive_supervisor;
+    use crate::{run_scheme, MixedFleetConfig, RoundOutcome};
+    use ugc_grid::{duplex, CheatSelection, HonestWorker, SemiHonestCheater};
+    use ugc_hash::Sha256;
     use ugc_task::workloads::PasswordSearch;
     use ugc_task::ZeroGuesser;
 
-    fn config(d: usize, seed: u64) -> RingerConfig {
-        RingerConfig {
-            task_id: 5,
-            ringers: d,
-            seed,
-        }
+    fn config(d: usize, seed: u64) -> RingerScheme {
+        RingerScheme { ringers: d, seed }
+    }
+
+    /// One round of `scheme` through [`run_scheme`].
+    fn run<S: Screener>(
+        task: &PasswordSearch,
+        screener: &S,
+        domain: Domain,
+        behaviour: &dyn WorkerBehaviour,
+        scheme: &RingerScheme,
+    ) -> Result<RoundOutcome, SchemeError> {
+        let config = MixedFleetConfig::default();
+        run_scheme::<Sha256, _, _>(task, screener, domain, scheme, &[behaviour], &config)
     }
 
     #[test]
@@ -420,7 +307,7 @@ mod tests {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
         for seed in 0..5 {
-            let outcome = run_ringer(
+            let outcome = run(
                 &task,
                 &screener,
                 Domain::new(0, 128),
@@ -439,7 +326,7 @@ mod tests {
         let cheater =
             SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(4), 6);
         // With r = 0.3 and d = 8 the evasion probability is 0.3^8 ≈ 6.6e-5.
-        let outcome = run_ringer(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 256),
@@ -455,7 +342,7 @@ mod tests {
     fn supervisor_pays_d_evaluations_upfront() {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
-        let outcome = run_ringer(
+        let outcome = run(
             &task,
             &screener,
             Domain::new(0, 128),
@@ -470,7 +357,7 @@ mod tests {
     fn traffic_is_constant_in_n() {
         let task = PasswordSearch::with_hidden_password(1, 10);
         let screener = task.match_screener();
-        let small = run_ringer(
+        let small = run(
             &task,
             &screener,
             Domain::new(0, 64),
@@ -478,7 +365,7 @@ mod tests {
             &config(4, 1),
         )
         .unwrap();
-        let large = run_ringer(
+        let large = run(
             &task,
             &screener,
             Domain::new(0, 4096),
@@ -499,7 +386,7 @@ mod tests {
     fn too_many_ringers_rejected() {
         let task = PasswordSearch::with_hidden_password(1, 2);
         let screener = task.match_screener();
-        let err = run_ringer(
+        let err = run(
             &task,
             &screener,
             Domain::new(0, 4),
@@ -536,9 +423,18 @@ mod tests {
                 let _ = part_ep.recv();
             });
             let screener = task.match_screener();
-            let (verdict, _) =
-                supervisor_ringer(&sup_ep, &task, &screener, domain, &config(3, 2), &ledger)
-                    .unwrap();
+            let scheme = config(3, 2);
+            let mut session = VerificationScheme::<Sha256>::supervisor_session(
+                &scheme,
+                SupervisorContext {
+                    task: &task,
+                    screener: &screener,
+                    domain,
+                    task_ids: vec![5],
+                    ledger: ledger.clone(),
+                },
+            );
+            let verdict = drive_supervisor(&sup_ep, session.as_mut()).unwrap().verdict;
             assert_eq!(verdict, Verdict::RingerMissed);
         });
     }

@@ -23,10 +23,11 @@
 //! sessions over direct links or a [`Broker`](ugc_grid::Broker); the
 //! participant side is symmetric: [`step_participant`] advances one
 //! session by one message without blocking (what the grid scheduler's
-//! worker pool calls), while [`drive_participant`] and
+//! worker pool calls). [`run_scheme`](crate::run_scheme) runs one
+//! complete round of any scheme that way. [`drive_participant`] and
 //! [`drive_supervisor`] are thin blocking loops that run a single
-//! session to completion over one endpoint, which is exactly what the
-//! legacy `run_*`/`participant_*`/`supervisor_*` free functions now do.
+//! session to completion over one endpoint — the face to reach for when
+//! a test plays a hostile peer by hand.
 //!
 //! # Example: one CBS round, session by session
 //!
@@ -68,7 +69,7 @@
 //!             task_ids: vec![1],
 //!             ledger: CostLedger::new(),
 //!         });
-//!     drive_supervisor(&[&sup_ep], session.as_mut())
+//!     drive_supervisor(&sup_ep, session.as_mut())
 //! })?;
 //! assert!(outcome.verdict.is_accepted());
 //! assert_eq!(outcome.reports[0].input, 42); // the password surfaced
@@ -77,7 +78,7 @@
 
 use crate::error::message_kind;
 use crate::{SchemeError, Verdict};
-use ugc_grid::{Backoff, CostLedger, Endpoint, GridError, GridLink, Message, WorkerBehaviour};
+use ugc_grid::{CostLedger, Endpoint, GridError, GridLink, Message, WorkerBehaviour};
 use ugc_hash::HashFunction;
 use ugc_merkle::{LaneWidth, Parallelism};
 use ugc_task::{ComputeTask, Domain, ScreenReport, Screener};
@@ -209,9 +210,8 @@ pub struct ParticipantContext<'a> {
 /// All five schemes of the evaluation — naive sampling, double-check,
 /// ringers, CBS and NI-CBS — implement this trait, so one
 /// [`SessionEngine`](crate::engine::SessionEngine) event loop drives any
-/// mix of them over any transport, and the legacy blocking entry points
-/// (`run_cbs`, `run_naive`, …) are thin wrappers that drive a single
-/// session pair to completion.
+/// mix of them over any transport, and one generic
+/// [`run_scheme`](crate::run_scheme) runs a single round of any of them.
 pub trait VerificationScheme<H: HashFunction>: Send + Sync {
     /// Scheme name for reports and tables.
     fn name(&self) -> &'static str;
@@ -401,27 +401,30 @@ pub fn drive_participant<L: GridLink + ?Sized>(
     }
 }
 
-/// Runs a supervisor session to completion over blocking endpoints, one
-/// per participant slot.
+/// Runs a single-participant supervisor session to completion over one
+/// blocking endpoint.
 ///
-/// With a single endpoint the loop blocks on `recv`; with several (the
-/// double-check supervisor) it polls them fairly, yielding the core while
-/// all are idle.
+/// Unlike the [`SessionEngine`](crate::engine::SessionEngine), which
+/// drops mail whose task id it never registered, this loop hands every
+/// inbound message to the session — the face hostile-peer tests use to
+/// check how a session answers forged or misaddressed frames.
 ///
 /// # Errors
 ///
 /// Transport failures and any protocol error the session raises, plus
-/// [`SchemeError::InvalidConfig`] if the endpoint count does not match the
-/// session's slots.
+/// [`SchemeError::InvalidConfig`] if the session addresses a slot other
+/// than 0 (multi-participant sessions run on the engine).
 pub fn drive_supervisor(
-    endpoints: &[&Endpoint],
+    endpoint: &Endpoint,
     session: &mut (dyn SupervisorSession + '_),
 ) -> Result<SessionOutcome, SchemeError> {
     let send_all = |outs: Vec<Outbound>| -> Result<(), SchemeError> {
         for (slot, msg) in outs {
-            let endpoint = endpoints.get(slot).ok_or(SchemeError::InvalidConfig {
-                reason: "session addressed a slot with no endpoint",
-            })?;
+            if slot != 0 {
+                return Err(SchemeError::InvalidConfig {
+                    reason: "session addressed a slot with no endpoint",
+                });
+            }
             endpoint.send(&msg)?;
         }
         Ok(())
@@ -431,40 +434,11 @@ pub fn drive_supervisor(
         if let Some(outcome) = session.take_outcome() {
             return Ok(outcome);
         }
-        let (slot, msg) = recv_any(endpoints)?;
-        if session.is_stale(slot, &msg) {
+        let msg = endpoint.recv()?;
+        if session.is_stale(0, &msg) {
             continue; // redundant redelivery: dropped, as the engine does
         }
-        send_all(session.on_message(slot, msg)?)?;
-    }
-}
-
-/// Receives the next message from any of the given endpoints, with its
-/// slot index. Blocks on a lone endpoint; polls fairly otherwise.
-fn recv_any(endpoints: &[&Endpoint]) -> Result<(usize, Message), SchemeError> {
-    if let [only] = endpoints {
-        return Ok((0, only.recv()?));
-    }
-    let mut cursor = 0usize;
-    let mut backoff = Backoff::new();
-    loop {
-        let mut all_dead = true;
-        for probe in 0..endpoints.len() {
-            let idx = (cursor + probe) % endpoints.len();
-            match endpoints[idx].try_recv() {
-                Ok(msg) => return Ok((idx, msg)),
-                Err(GridError::Empty) => all_dead = false,
-                Err(GridError::Disconnected) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        if all_dead {
-            return Err(SchemeError::Grid(GridError::Disconnected));
-        }
-        cursor = (cursor + 1) % endpoints.len();
-        // Peers are computing; escalate from spinning to coarse sleeps
-        // instead of burning a core.
-        backoff.wait();
+        send_all(session.on_message(0, msg)?)?;
     }
 }
 
@@ -502,7 +476,7 @@ mod tests {
                         ledger: CostLedger::new(),
                     },
                 );
-                drive_supervisor(&[&sup_ep], session.as_mut()).unwrap()
+                drive_supervisor(&sup_ep, session.as_mut()).unwrap()
             });
             let mut session = VerificationScheme::<Sha256>::participant_session(
                 &scheme,

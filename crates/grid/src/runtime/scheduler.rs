@@ -2,14 +2,14 @@
 //! fixed pool of OS threads, with per-worker run queues and work
 //! stealing.
 //!
-//! The thread-per-participant runtime of PR 4 caps a campaign at however
-//! many OS threads the host tolerates — tens, not the "huge pool of
-//! untrusted participants" the paper supervises. This module removes
-//! that cap the same way the supervisor side did in the
-//! `SessionEngine`: participants become non-blocking state machines
-//! ([`GridTask`]s whose [`poll`](GridTask::poll) never blocks), and a
-//! [`GridScheduler`] multiplexes thousands of them over `workers` OS
-//! threads (default: one per available core).
+//! One OS thread per participant would cap a campaign at however many
+//! threads the host tolerates — tens, not the "huge pool of untrusted
+//! participants" the paper supervises. This module removes that cap the
+//! same way the supervisor side did in the `SessionEngine`: participants
+//! become non-blocking state machines ([`GridTask`]s whose
+//! [`poll`](GridTask::poll) never blocks), and a [`GridScheduler`]
+//! multiplexes thousands of them over `workers` OS threads (default: one
+//! per available core).
 //!
 //! PR 5's scheduler funnelled every pop and push through one shared
 //! round-robin queue, so at scale the workers spent their time fighting
@@ -107,7 +107,7 @@
 //! assert!(done.iter().all(|t| t.left == 0));
 //! ```
 
-use crate::{Backoff, BackoffPolicy};
+use crate::Backoff;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -130,10 +130,8 @@ pub enum TaskPoll {
 ///
 /// `poll` must not block indefinitely: a task waiting on its peer
 /// returns [`TaskPoll::Idle`] and is parked instead of pinning a worker.
-/// (A `poll` that *does* block — e.g. a legacy blocking closure run as a
-/// single step — simply occupies its worker until it returns, which is
-/// exactly how [`run_brokered`](crate::runtime::run_brokered) recovers
-/// the old thread-per-participant semantics.)
+/// (A `poll` that *does* block simply occupies its worker until it
+/// returns, starving every task queued behind it.)
 pub trait GridTask: Send {
     /// Advances the task one step.
     fn poll(&mut self) -> TaskPoll;
@@ -212,7 +210,6 @@ fn steal_start(rng: &mut u64, others: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridScheduler {
     workers: usize,
-    backoff: BackoffPolicy,
     steal_seed: u64,
 }
 
@@ -230,18 +227,8 @@ impl GridScheduler {
     pub const fn new(workers: usize) -> Self {
         GridScheduler {
             workers: if workers == 0 { 1 } else { workers },
-            backoff: BackoffPolicy::new(10, 1_000),
             steal_seed: 0,
         }
-    }
-
-    /// Reshapes the idle-backoff ladder the pool's workers climb while
-    /// their ready queues are dry. Timing-only: scheduling order and
-    /// results are unaffected.
-    #[must_use]
-    pub const fn with_backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
     }
 
     /// Seeds the pseudo-random (SplitMix64) victim order workers walk
@@ -314,7 +301,7 @@ impl GridScheduler {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let pool = &pool;
-                    scope.spawn(move || worker_loop(pool, me, self.steal_seed, self.backoff))
+                    scope.spawn(move || worker_loop(pool, me, self.steal_seed))
                 })
                 .collect();
             // Join every worker before re-raising, keeping the first panic.
@@ -382,9 +369,9 @@ fn steal<T>(pool: &Pool<T>, me: usize, rng: &mut u64) -> Option<(usize, T)> {
 /// reachable anywhere, climb the backoff ladder and re-queue the local
 /// parked list in one batch. Returns when no task remains or another
 /// worker has panicked.
-fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64, policy: BackoffPolicy) {
+fn worker_loop<T: GridTask>(pool: &Pool<T>, me: usize, steal_seed: u64) {
     let _guard = UnwindGuard(&pool.panicked);
-    let mut backoff = Backoff::with_policy(policy);
+    let mut backoff = Backoff::new();
     let mut seen = pool.progress.load(Ordering::Acquire);
     let mut rng = steal_rng(steal_seed, me);
     loop {
@@ -685,7 +672,7 @@ mod tests {
             progress: AtomicU64::new(0),
             panicked: AtomicBool::new(false),
         };
-        worker_loop(&pool, 0, 0, BackoffPolicy::default());
+        worker_loop(&pool, 0, 0);
         assert_eq!(pool.progress.load(Ordering::Acquire), 3);
         assert_eq!(pool.remaining.load(Ordering::Acquire), 0);
         assert!(pool.finished.lock().unwrap()[0].is_some());

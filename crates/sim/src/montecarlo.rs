@@ -4,11 +4,11 @@ use crate::stats::wilson_interval;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ugc_core::engine::SessionEngine;
-use ugc_core::scheme::cbs::{run_cbs_with, CbsConfig, CbsScheme};
+use ugc_core::scheme::cbs::CbsScheme;
 use ugc_core::session::{
     drive_participant, ParticipantContext, SupervisorContext, VerificationScheme,
 };
-use ugc_core::{LaneWidth, Parallelism, ParticipantStorage};
+use ugc_core::{run_scheme, LaneWidth, MixedFleetConfig, Parallelism, ParticipantStorage};
 use ugc_grid::{duplex, Broker, CheatSelection, CostLedger, SemiHonestCheater};
 use ugc_hash::Sha256;
 use ugc_task::workloads::PasswordSearch;
@@ -409,25 +409,22 @@ fn run_brokered_batch(exp: &DetectionExperiment, trials: core::ops::Range<u32>) 
 fn run_protocol_trial(exp: &DetectionExperiment, t: u32) -> bool {
     let (task, cheater, scheme) = trial_cast(exp, t);
     let screener = task.match_screener();
-    let config = CbsConfig {
-        task_id: u64::from(t),
-        samples: scheme.samples,
-        seed: scheme.seed,
-        report_audit: scheme.report_audit,
+    // One scheduler worker and a serial tree build: the trial may already
+    // be running on a saturated shard thread, so nesting more threads
+    // would oversubscribe the cores (parallelism lives at the trial level
+    // here). Lane-batched hashing is bit-identical to scalar, so the
+    // default lane width leaves estimates unchanged.
+    let config = MixedFleetConfig {
+        parallelism: Parallelism::serial(),
+        workers: Some(1),
+        ..MixedFleetConfig::default()
     };
-    // Serial tree build: the trial may already be running on a saturated
-    // shard thread, so nesting a multi-threaded build would oversubscribe
-    // the cores (parallelism lives at the trial level here).
-    run_cbs_with::<Sha256, _, _, _>(
+    run_scheme::<Sha256, _, _>(
         &task,
         &screener,
         Domain::new(0, exp.domain_size),
-        &cheater,
-        ParticipantStorage::Full,
-        Parallelism::serial(),
-        // Lane-batched tree builds and sample hashing: bit-identical to
-        // scalar, so estimates are unchanged at any width.
-        LaneWidth::default(),
+        &scheme,
+        &[&cheater],
         &config,
     )
     .expect("in-process CBS round must not fail")

@@ -9,8 +9,8 @@
 //! Run: `cargo run --release --example drug_screening`
 
 use uncheatable_grid::core::analysis::rco;
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::{run_scheme, MixedFleetConfig, ParticipantStorage};
 use uncheatable_grid::grid::HonestWorker;
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::tree_height;
@@ -52,18 +52,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ParticipantStorage::Partial { subtree_height: 10 },
         ),
     ] {
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let scheme = CbsScheme {
+            samples: m,
+            seed: 3,
+            report_audit: 0,
+        };
+        let config = MixedFleetConfig {
+            storage,
+            ..MixedFleetConfig::default()
+        };
+        let outcome = run_scheme::<Sha256, _, _>(
             &lab,
             &screener,
             library,
-            &HonestWorker,
-            storage,
-            &CbsConfig {
-                task_id: 1,
-                samples: m,
-                seed: 3,
-                report_audit: 0,
-            },
+            &scheme,
+            &[&HonestWorker],
+            &config,
         )?;
         let base = library.len() * lab_unit_cost(&lab);
         let extra = outcome.participant_costs.f_evals.saturating_sub(base);

@@ -8,8 +8,8 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::ParticipantStorage;
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::{run_scheme, MixedFleetConfig};
 use uncheatable_grid::grid::{CheatSelection, HonestWorker, SemiHonestCheater};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
@@ -21,22 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let task = PasswordSearch::with_hidden_password(2024, 1337);
     let screener = task.match_screener();
     let domain = Domain::new(0, 4096);
-    let config = CbsConfig {
-        task_id: 1,
+    let scheme = CbsScheme {
         samples: 30,
         seed: 7,
         report_audit: 0,
     };
+    let config = MixedFleetConfig::default();
 
     println!("== Honest participant ==");
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &config,
-    )?;
+    let outcome =
+        run_scheme::<Sha256, _, _>(&task, &screener, domain, &scheme, &[&HonestWorker], &config)?;
     println!("verdict:          {}", outcome.verdict);
     println!(
         "password found:   x = {} (reported by the screener)",
@@ -55,14 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== Semi-honest cheater (r = 0.5) ==");
     let cheater = SemiHonestCheater::new(0.5, CheatSelection::Scattered, ZeroGuesser::new(3), 99);
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &cheater,
-        ParticipantStorage::Full,
-        &config,
-    )?;
+    let outcome =
+        run_scheme::<Sha256, _, _>(&task, &screener, domain, &scheme, &[&cheater], &config)?;
     println!("verdict:          {}", outcome.verdict);
     println!(
         "cheater's saving: computed only {} of 4096 evaluations before being caught",

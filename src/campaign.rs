@@ -241,8 +241,8 @@ impl CampaignPlan {
             ZeroGuesser::new(seed ^ 0xf1ee),
             seed,
         );
-        // One scheme instance per member, each with the derived seed
-        // `run_fleet_over` would have used.
+        // One scheme instance per member, each with the seed `run_fleet`
+        // derives for the member at that index.
         let schemes: Vec<Box<dyn VerificationScheme<Sha256>>> = (0..participants)
             .map(|i| {
                 scheme.instantiate::<Sha256>(

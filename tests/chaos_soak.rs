@@ -1,7 +1,7 @@
-//! The chaos soak: mixed five-scheme campaigns over real participant
-//! threads with seeded fault injection (duplication, reordering, latency,
-//! crash/restart churn, message loss). Verifies the three guarantees the
-//! thread-per-participant runtime makes:
+//! The chaos soak: mixed five-scheme campaigns on the participant
+//! scheduler with seeded fault injection (duplication, reordering,
+//! latency, crash/restart churn, message loss). Verifies the three
+//! guarantees the participant runtime makes:
 //!
 //! 1. **Correctness under chaos** — honest participants end up accepted,
 //!    cheaters rejected, no matter what the fault plan does to the links
@@ -70,7 +70,7 @@ fn digest(summary: &FleetSummary) -> String {
     out
 }
 
-/// The acceptance campaign: all five schemes, ten participant threads,
+/// The acceptance campaign: all five schemes, ten participant slots,
 /// three behaviour kinds, a nonzero chaos seed with churn — completed
 /// with the verdicts each scheme's theory demands, twice, bit-identically.
 #[test]

@@ -174,7 +174,7 @@ fn fleet_over_broker_matches_direct_verdicts() {
     ];
     for scheme in ["cbs", "ni-cbs", "naive"] {
         let direct = ugc(&[&base[..], &["--scheme", scheme]].concat());
-        let brokered = ugc(&[&base[..], &["--scheme", scheme, "--broker"]].concat());
+        let brokered = ugc(&[&base[..], &["--scheme", scheme, "--transport", "brokered"]].concat());
         assert!(direct.status.success(), "{scheme} direct failed");
         assert!(brokered.status.success(), "{scheme} brokered failed");
         assert!(
@@ -195,14 +195,15 @@ fn fleet_over_broker_matches_direct_verdicts() {
 fn fleet_chaos_campaign_reports_faults_and_throughput() {
     let args = [
         "fleet",
-        "--threads",
+        "--participants",
         "8",
         "--cheaters",
         "1",
         "--chaos",
         "7",
         "--churn",
-        "--broker",
+        "--transport",
+        "brokered",
         "--n",
         "512",
         "--m",
@@ -215,7 +216,7 @@ fn fleet_chaos_campaign_reports_faults_and_throughput() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = stdout(&out);
-    assert!(text.contains("fleet of 8 threads"), "{text}");
+    assert!(text.contains("fleet of 8 participants on"), "{text}");
     assert!(text.contains("7 accepted, 1 rejected"), "{text}");
     assert!(text.contains("chaos seed 7:"), "{text}");
     assert!(text.contains("faults injected"), "{text}");
@@ -275,10 +276,10 @@ fn fleet_unrecognized_flag_prints_usage_and_fails() {
 }
 
 #[test]
-fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
+fn fleet_workers_pool_matches_default_pool_verdicts() {
     // The same campaign on a 2-worker scheduler pool: identical verdicts
     // and identical replayable lines (only the execution header and the
-    // wall-clock throughput line differ from the threaded run).
+    // wall-clock throughput line differ from the default-pool run).
     let base = [
         "fleet",
         "--participants",
@@ -292,7 +293,8 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
         "--chaos",
         "5",
         "--churn",
-        "--broker",
+        "--transport",
+        "brokered",
     ];
     let stable = |out: &Output| -> Vec<String> {
         stdout(out)
@@ -301,8 +303,8 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
             .map(str::to_owned)
             .collect()
     };
-    let threaded = ugc(&base);
-    assert!(threaded.status.success());
+    let default_pool = ugc(&base);
+    assert!(default_pool.status.success());
     let pooled = ugc(&[&base[..], &["--workers", "2"]].concat());
     assert!(pooled.status.success());
     assert!(
@@ -311,7 +313,7 @@ fn fleet_workers_pool_matches_thread_per_participant_verdicts() {
         stdout(&pooled)
     );
     assert_eq!(
-        stable(&threaded),
+        stable(&default_pool),
         stable(&pooled),
         "worker pool must not change verdicts, attempts or the fault log"
     );
@@ -519,30 +521,18 @@ fn digest_line(out: &Output) -> String {
 }
 
 #[test]
-fn fleet_transport_brokered_equals_deprecated_broker_flag() {
-    let base = [
-        "fleet",
-        "--participants",
-        "3",
-        "--cheaters",
-        "1",
-        "--n",
-        "240",
-        "--m",
-        "8",
-    ];
-    let spelled = ugc(&[&base[..], &["--transport", "brokered"]].concat());
-    let deprecated = ugc(&[&base[..], &["--broker"]].concat());
-    assert!(spelled.status.success());
-    assert!(deprecated.status.success());
-    // Same campaign, same digest — the alias changes nothing but stderr.
-    assert_eq!(digest_line(&spelled), digest_line(&deprecated));
-    assert!(
-        String::from_utf8_lossy(&deprecated.stderr).contains("--broker is deprecated"),
-        "the alias must hint at the new spelling: {}",
-        String::from_utf8_lossy(&deprecated.stderr)
-    );
-    assert!(String::from_utf8_lossy(&spelled.stderr).is_empty());
+fn fleet_removed_threads_and_broker_flags_fail_with_usage() {
+    // `--threads` (the participant count's old name) and `--broker` (the
+    // old spelling of `--transport brokered`) are gone: each is an
+    // unrecognized argument with a usage hint and a nonzero exit.
+    for removed in [&["--threads", "8"][..], &["--broker"][..]] {
+        let out = ugc(&[&["fleet"][..], removed].concat());
+        assert!(!out.status.success(), "{removed:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unrecognized argument"), "{err}");
+        assert!(err.contains(removed[0]), "{err}");
+        assert!(err.contains("usage: ugc"), "{err}");
+    }
 }
 
 #[test]
@@ -553,15 +543,6 @@ fn fleet_transport_flag_matrix() {
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("unknown transport"), "{err}");
     assert!(err.contains("--connect"), "{err}");
-
-    // Mixing the old and new spellings is a conflict, not a guess.
-    let out = ugc(&["fleet", "--transport", "brokered", "--broker"]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("conflicts"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 
     // A dangling --transport must not silently default.
     let out = ugc(&["fleet", "--transport"]);
@@ -592,15 +573,16 @@ fn fleet_connect_flag_matrix() {
     }
 
     // --connect implies the remote transport; picking another is an error.
-    for extra in [&["--transport", "direct"][..], &["--broker"][..]] {
-        let out = ugc(&[&["fleet", "--connect", "127.0.0.1:1"][..], extra].concat());
-        assert!(!out.status.success(), "--connect with {extra:?} must fail");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("implies the remote transport"),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
+    let out = ugc(&["fleet", "--connect", "127.0.0.1:1", "--transport", "direct"]);
+    assert!(
+        !out.status.success(),
+        "--connect with --transport must fail"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("implies the remote transport"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Chaos is keyed by in-process link identity; refuse it remotely.
     for extra in [&["--chaos", "7"][..], &["--churn"][..]] {

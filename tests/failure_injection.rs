@@ -2,15 +2,46 @@
 //! hangs, no panics) when peers die, lie structurally, or reorder
 //! messages. Distributed-systems hygiene for the scheme layer.
 
-use uncheatable_grid::core::scheme::cbs::{participant_cbs, supervisor_cbs, CbsConfig};
-use uncheatable_grid::core::{ParticipantStorage, SchemeError};
-use uncheatable_grid::grid::{duplex, Assignment, CostLedger, GridError, HonestWorker, Message};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
+use uncheatable_grid::core::{
+    LaneWidth, Parallelism, ParticipantContext, ParticipantStorage, SchemeError, SessionOutcome,
+    SupervisorContext, VerificationScheme,
+};
+use uncheatable_grid::grid::{
+    duplex, Assignment, CostLedger, Endpoint, GridError, HonestWorker, Message,
+};
 use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
-use uncheatable_grid::task::Domain;
+use uncheatable_grid::task::{Domain, MatchScreener};
 
 fn task() -> PasswordSearch {
     PasswordSearch::with_hidden_password(1, 2)
+}
+
+/// Drives the CBS supervisor session for wire task `task_id` over one
+/// blocking endpoint: unlike the session engine, which drops mail for
+/// unknown task ids, every message reaches the session.
+fn supervise(
+    endpoint: &Endpoint,
+    task: &PasswordSearch,
+    screener: &MatchScreener,
+    domain: Domain,
+    task_id: u64,
+    scheme: &CbsScheme,
+    ledger: &CostLedger,
+) -> Result<SessionOutcome, SchemeError> {
+    let mut session = VerificationScheme::<Sha256>::supervisor_session(
+        scheme,
+        SupervisorContext {
+            task,
+            screener,
+            domain,
+            task_ids: vec![task_id],
+            ledger: ledger.clone(),
+        },
+    );
+    drive_supervisor(endpoint, session.as_mut())
 }
 
 #[test]
@@ -20,13 +51,13 @@ fn supervisor_reports_disconnect_if_participant_dies_before_commit() {
     let (sup_ep, part_ep) = duplex();
     drop(part_ep); // participant never shows up
     let ledger = CostLedger::new();
-    let err = supervisor_cbs::<Sha256, _, _>(
+    let err = supervise(
         &sup_ep,
         &t,
         &screener,
         Domain::new(0, 16),
-        &CbsConfig {
-            task_id: 1,
+        1,
+        &CbsScheme {
             samples: 2,
             seed: 1,
             report_audit: 0,
@@ -45,14 +76,24 @@ fn participant_reports_disconnect_if_supervisor_dies_after_commit() {
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
             let screener = t.match_screener();
-            participant_cbs::<Sha256, _, _, _>(
-                &part_ep,
-                &t,
-                &screener,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &ledger,
-            )
+            let scheme = CbsScheme {
+                samples: 2,
+                seed: 1,
+                report_audit: 0,
+            };
+            let mut session = VerificationScheme::<Sha256>::participant_session(
+                &scheme,
+                ParticipantContext {
+                    task: &t,
+                    screener: &screener,
+                    behaviour: &HonestWorker,
+                    storage: ParticipantStorage::Full,
+                    parallelism: Parallelism::default(),
+                    lanes: LaneWidth::default(),
+                    ledger: ledger.clone(),
+                },
+            );
+            drive_participant(&part_ep, session.as_mut())
         });
         sup_ep
             .send(&Message::Assign(Assignment {
@@ -84,13 +125,13 @@ fn supervisor_rejects_out_of_order_messages() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
+        let err = supervise(
             &sup_ep,
             &t,
             &screener,
             Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
+            1,
+            &CbsScheme {
                 samples: 2,
                 seed: 1,
                 report_audit: 0,
@@ -124,13 +165,13 @@ fn supervisor_rejects_wrong_task_id() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
+        let err = supervise(
             &sup_ep,
             &t,
             &screener,
             Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
+            1,
+            &CbsScheme {
                 samples: 2,
                 seed: 1,
                 report_audit: 0,
@@ -164,13 +205,13 @@ fn supervisor_rejects_malformed_commitment() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
+        let err = supervise(
             &sup_ep,
             &t,
             &screener,
             Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
+            1,
+            &CbsScheme {
                 samples: 2,
                 seed: 1,
                 report_audit: 0,
@@ -216,13 +257,13 @@ fn supervisor_rejects_short_proof_list() {
                 })
                 .unwrap();
         });
-        let err = supervisor_cbs::<Sha256, _, _>(
+        let err = supervise(
             &sup_ep,
             &t,
             &screener,
             Domain::new(0, 16),
-            &CbsConfig {
-                task_id: 1,
+            1,
+            &CbsScheme {
                 samples: 3,
                 seed: 1,
                 report_audit: 0,

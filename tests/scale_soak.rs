@@ -1,6 +1,6 @@
 //! The scale soak: a 1000-participant mixed-scheme campaign on a
-//! 4-worker scheduler pool — the workload the thread-per-participant
-//! runtime could never run, and the acceptance test of the event-driven
+//! 4-worker scheduler pool — a workload one OS thread per participant
+//! could never run, and the acceptance test of the event-driven
 //! refactor:
 //!
 //! 1. **It completes, correctly** — a thousand poll-driven sessions
@@ -73,9 +73,7 @@ struct Schemes {
     double_check: DoubleCheckScheme,
 }
 
-/// Runs the 1000-slot campaign on the given pool. `None` would be the
-/// thread-per-participant model — deliberately not exercised here at
-/// this scale (that is the point of the scheduler).
+/// Runs the 1000-slot campaign on a pool of `workers` OS threads.
 fn campaign(workers: usize) -> FleetSummary {
     let task = PasswordSearch::with_hidden_password(SOAK_SEED, 3);
     let screener = AcceptAllScreener;

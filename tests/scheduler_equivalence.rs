@@ -1,8 +1,11 @@
 //! Scheduler equivalence: the poll-driven `GridScheduler` execution
-//! model must be bit-identical to the PR 4 thread-per-participant
-//! runtime — same seed and chaos plan in, same `FaultLog`, verdicts and
+//! model must reproduce, bit for bit, the campaigns the earlier
+//! thread-per-participant runtime (one OS thread per participant slot)
+//! produced — same seed and chaos plan in, same `FaultLog`, verdicts and
 //! `CostLedger` axes out — for all five schemes, over both transports,
-//! at any worker-pool size *and any work-stealing seed*.
+//! at any worker-pool size *and any work-stealing seed*. That runtime is
+//! gone; its campaigns survive as the `summary_digest` goldens below,
+//! recorded from it before it was removed.
 //!
 //! This is the replay-digest property the event-driven refactor rests
 //! on: fault decisions are a pure function of `(seed, link, direction,
@@ -21,7 +24,7 @@ use uncheatable_grid::core::scheme::naive::NaiveScheme;
 use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
 use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
+    run_mixed_fleet, summary_digest, FleetSummary, FleetTransport, MemberSpec, MixedFleetConfig,
 };
 use uncheatable_grid::grid::runtime::FaultPlan;
 use uncheatable_grid::grid::{
@@ -31,33 +34,45 @@ use uncheatable_grid::hash::Sha256;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::{AcceptAllScreener, Domain, ZeroGuesser};
 
-/// Everything that must be identical between execution models: verdicts,
-/// attempts, per-session supervisor traffic, every `CostLedger` axis and
-/// the injected-fault log. (Wall-clock throughput is real time and
-/// deliberately excluded.)
-fn digest(summary: &FleetSummary) -> String {
-    let mut out = String::new();
-    for m in &summary.members {
-        out.push_str(&format!(
-            "member {} share {} accepted {} attempts {} verdict {:?} \
-             link(tx {} rx {}) sup {:?} part {:?}\n",
-            m.participant,
-            m.share,
-            m.outcome.accepted,
-            m.attempts,
-            m.outcome.verdict,
-            m.outcome.supervisor_link.bytes_sent,
-            m.outcome.supervisor_link.bytes_received,
-            m.outcome.supervisor_costs,
-            m.outcome.participant_costs,
-        ));
-    }
-    out.push_str(&format!(
-        "sessions {} bytes {}\n",
-        summary.throughput.sessions, summary.throughput.bytes
-    ));
-    out.push_str(&format!("faults {:?}\n", summary.fault_events));
-    out
+/// `summary_digest`s of the chaos campaign below, recorded from the
+/// thread-per-participant runtime: `(transport, chaos seed, digest)`.
+/// The digest covers verdicts, attempts, per-session supervisor traffic,
+/// every `CostLedger` axis and the injected-fault log (wall-clock
+/// throughput is real time and deliberately excluded).
+const GOLDEN_CHAOS: [(FleetTransport, u64, &str); 4] = [
+    (
+        FleetTransport::Brokered,
+        0xC4A05,
+        "871f116a90ff6ea370dd930736b268616651debd1b3d670fa3a6ec01fc8161bf",
+    ),
+    (
+        FleetTransport::Brokered,
+        0x5EED5,
+        "6d9c55768b571593f138fc2a98230ac4bd5817ea5432eaa75afcf201d7fe84cb",
+    ),
+    (
+        FleetTransport::Brokered,
+        42,
+        "1b7357f1a70369de6aae01106f2c14d3ca2b9d98122bf393e4ebe528ff2edbe8",
+    ),
+    (
+        FleetTransport::Direct,
+        0xD12EC7,
+        "de06b96212ecc68019d75c3fcd6aab124fd360720902a301af4ef33c375c83a8",
+    ),
+];
+
+/// The quiet (chaos-free) fleet's `summary_digest`, recorded from the
+/// thread-per-participant runtime.
+const GOLDEN_QUIET: &str = "0be36f60790f1e59840cbc4cb384dcc97b9b6f4e709809e02ab57d94dbe16803";
+
+/// The recorded digest of the chaos campaign for `(transport, seed)`.
+fn golden(transport: FleetTransport, chaos_seed: u64) -> &'static str {
+    GOLDEN_CHAOS
+        .iter()
+        .find(|(t, seed, _)| *t == transport && *seed == chaos_seed)
+        .map(|(_, _, digest)| *digest)
+        .unwrap_or_else(|| panic!("no golden for {transport:?} seed {chaos_seed:#x}"))
 }
 
 struct Schemes {
@@ -175,15 +190,16 @@ fn campaign_stealing(
     .expect("the campaign must converge within the retry budget")
 }
 
-/// The tentpole property, brokered: the thread-per-participant reference
-/// and the scheduler at `workers ∈ {1, 4, participants}` all produce the
-/// same fault log, verdicts and ledgers — across several chaos seeds.
+/// The tentpole property, brokered: the scheduler at
+/// `workers ∈ {1, 4, 8}` reproduces the thread-per-participant
+/// runtime's fault log, verdicts and ledgers — across several chaos
+/// seeds.
 #[test]
 fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
     for chaos_seed in [0xC4A05, 0x5EED5, 42] {
-        let reference = digest(&campaign(chaos_seed, FleetTransport::Brokered, None));
+        let reference = golden(FleetTransport::Brokered, chaos_seed);
         for workers in [1, 4, 8] {
-            let scheduled = digest(&campaign(
+            let scheduled = summary_digest(&campaign(
                 chaos_seed,
                 FleetTransport::Brokered,
                 Some(workers),
@@ -191,7 +207,7 @@ fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
             assert_eq!(
                 reference, scheduled,
                 "seed {chaos_seed:#x}: {workers}-worker scheduler diverged from the \
-                 thread-per-participant runtime"
+                 thread-per-participant golden"
             );
         }
     }
@@ -202,9 +218,10 @@ fn brokered_scheduler_matches_thread_per_participant_at_any_pool_size() {
 #[test]
 fn direct_scheduler_matches_thread_per_participant() {
     let chaos_seed = 0xD12EC7;
-    let reference = digest(&campaign(chaos_seed, FleetTransport::Direct, None));
+    let reference = golden(FleetTransport::Direct, chaos_seed);
     for workers in [1, 4, 8] {
-        let scheduled = digest(&campaign(chaos_seed, FleetTransport::Direct, Some(workers)));
+        let scheduled =
+            summary_digest(&campaign(chaos_seed, FleetTransport::Direct, Some(workers)));
         assert_eq!(
             reference, scheduled,
             "{workers}-worker scheduler diverged over direct links"
@@ -216,17 +233,17 @@ fn direct_scheduler_matches_thread_per_participant() {
 /// Sweeping the steal seed at several pool sizes — over both transports —
 /// permutes which worker polls which session (and which stolen batches
 /// land where) without moving a digest bit relative to the
-/// thread-per-participant reference.
+/// thread-per-participant golden.
 #[test]
 fn steal_seed_never_reaches_digests() {
     for (chaos_seed, transport) in [
         (0xC4A05u64, FleetTransport::Brokered),
         (0xD12EC7, FleetTransport::Direct),
     ] {
-        let reference = digest(&campaign(chaos_seed, transport, None));
+        let reference = golden(transport, chaos_seed);
         for workers in [1, 4, 8] {
             for steal_seed in [1u64, 0xDEAD_BEEF, u64::MAX] {
-                let stolen = digest(&campaign_stealing(
+                let stolen = summary_digest(&campaign_stealing(
                     chaos_seed,
                     transport,
                     Some(workers),
@@ -235,7 +252,7 @@ fn steal_seed_never_reaches_digests() {
                 assert_eq!(
                     reference, stolen,
                     "{transport:?} seed {chaos_seed:#x}: {workers} workers with steal \
-                     seed {steal_seed:#x} diverged from the thread-per-participant runtime"
+                     seed {steal_seed:#x} diverged from the thread-per-participant golden"
                 );
             }
         }
@@ -243,7 +260,8 @@ fn steal_seed_never_reaches_digests() {
 }
 
 /// Expected verdicts survive the scheduler: honest members accepted,
-/// cheaters rejected, exactly as the thread-per-participant path decides.
+/// cheaters rejected, exactly as the thread-per-participant runtime
+/// decided.
 #[test]
 fn scheduler_verdicts_are_correct_under_chaos() {
     let summary = campaign(0xC4A05, FleetTransport::Brokered, Some(4));
@@ -262,8 +280,8 @@ fn scheduler_verdicts_are_correct_under_chaos() {
     );
 }
 
-/// A clean (chaos-free) fleet is also identical between execution
-/// models — the scheduler is not only for storms.
+/// A clean (chaos-free) fleet also reproduces its thread-per-participant
+/// golden — the scheduler is not only for storms.
 #[test]
 fn quiet_fleet_identical_across_execution_models() {
     let task = PasswordSearch::with_hidden_password(3, 100);
@@ -285,7 +303,7 @@ fn quiet_fleet_identical_across_execution_models() {
                 behaviours: vec![&honest, &honest],
             },
         ];
-        digest(
+        summary_digest(
             &run_mixed_fleet(
                 &task,
                 &screener,
@@ -300,7 +318,8 @@ fn quiet_fleet_identical_across_execution_models() {
             .unwrap(),
         )
     };
-    let reference = run(None);
+    let reference = GOLDEN_QUIET;
+    assert_eq!(reference, run(None));
     assert_eq!(reference, run(Some(1)));
     assert_eq!(reference, run(Some(4)));
 }

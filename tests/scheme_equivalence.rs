@@ -1,101 +1,90 @@
 //! Cross-scheme invariants: identical verdicts and reports where theory
-//! says so, the cost ordering the paper claims, and — since the session
-//! refactor — proof that the engine-over-broker path is **bit-identical**
-//! to the legacy in-process rounds for all five schemes (verdicts,
-//! supervisor byte counts, and every `CostLedger` axis).
+//! says so, the cost ordering the paper claims, and a golden table that
+//! pins every scheme's single-session round bit for bit (verdict,
+//! supervisor link stats, both `CostLedger`s and the reports) over both
+//! the direct and the brokered transport.
 
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig, CbsScheme};
-use uncheatable_grid::core::scheme::double_check::{
-    run_double_check, DoubleCheckConfig, DoubleCheckScheme,
-};
-use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig, NaiveScheme};
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig, NiCbsScheme};
-use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig, RingerScheme};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::scheme::double_check::DoubleCheckScheme;
+use uncheatable_grid::core::scheme::naive::NaiveScheme;
+use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
+use uncheatable_grid::core::scheme::ringer::RingerScheme;
 use uncheatable_grid::core::{
-    run_mixed_fleet, FleetTransport, MemberSpec, MixedFleetConfig, ParticipantStorage,
-    RoundOutcome, VerificationScheme,
+    run_scheme, FleetTransport, MixedFleetConfig, ParticipantStorage, RoundOutcome,
+    VerificationScheme,
 };
 use uncheatable_grid::grid::{
     CheatSelection, HonestWorker, MaliciousWorker, SemiHonestCheater, WorkerBehaviour,
 };
-use uncheatable_grid::hash::Sha256;
+use uncheatable_grid::hash::{hex, HashFunction, Sha256};
 use uncheatable_grid::task::workloads::PasswordSearch;
-use uncheatable_grid::task::{Domain, ZeroGuesser};
+use uncheatable_grid::task::{Domain, Screener, ZeroGuesser};
 
 const N: u64 = 1 << 14;
 const M: usize = 20;
 
-fn all_outcomes() -> Vec<(&'static str, uncheatable_grid::core::RoundOutcome)> {
-    let task = PasswordSearch::with_hidden_password(2, 77);
+/// One honest round of `scheme` over direct links.
+fn honest_round(
+    task: &PasswordSearch,
+    scheme: &dyn VerificationScheme<Sha256>,
+    storage: ParticipantStorage,
+) -> RoundOutcome {
     let screener = task.match_screener();
-    let domain = Domain::new(0, N);
+    let config = MixedFleetConfig {
+        storage,
+        ..MixedFleetConfig::default()
+    };
+    run_scheme(
+        task,
+        &screener,
+        Domain::new(0, N),
+        scheme,
+        &[&HonestWorker],
+        &config,
+    )
+    .unwrap()
+}
+
+fn all_outcomes() -> Vec<(&'static str, RoundOutcome)> {
+    let task = PasswordSearch::with_hidden_password(2, 77);
+    let cbs = CbsScheme {
+        samples: M,
+        seed: 3,
+        report_audit: 0,
+    };
     vec![
         (
             "naive",
-            run_naive(
+            honest_round(
                 &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                &NaiveConfig {
-                    task_id: 1,
+                &NaiveScheme {
                     samples: M,
                     seed: 3,
                 },
-            )
-            .unwrap(),
-        ),
-        (
-            "cbs",
-            run_cbs::<Sha256, _, _, _>(
-                &task,
-                &screener,
-                domain,
-                &HonestWorker,
                 ParticipantStorage::Full,
-                &CbsConfig {
-                    task_id: 1,
-                    samples: M,
-                    seed: 3,
-                    report_audit: 0,
-                },
-            )
-            .unwrap(),
+            ),
         ),
+        ("cbs", honest_round(&task, &cbs, ParticipantStorage::Full)),
         (
             "cbs-partial",
-            run_cbs::<Sha256, _, _, _>(
+            honest_round(
                 &task,
-                &screener,
-                domain,
-                &HonestWorker,
+                &cbs,
                 ParticipantStorage::Partial { subtree_height: 4 },
-                &CbsConfig {
-                    task_id: 1,
-                    samples: M,
-                    seed: 3,
-                    report_audit: 0,
-                },
-            )
-            .unwrap(),
+            ),
         ),
         (
             "ni-cbs",
-            run_ni_cbs::<Sha256, _, _, _>(
+            honest_round(
                 &task,
-                &screener,
-                domain,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &NiCbsConfig {
-                    task_id: 1,
+                &NiCbsScheme {
                     samples: M,
                     g_iterations: 1,
                     report_audit: 0,
                     audit_seed: 0,
                 },
-            )
-            .unwrap(),
+                ParticipantStorage::Full,
+            ),
         ),
     ]
 }
@@ -178,52 +167,104 @@ fn participant_baseline_work_is_the_task_itself() {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-vs-legacy equivalence: every scheme, multiplexed over the broker
-// transport, must reproduce the pre-refactor in-process rounds bit for bit.
+// Golden table: every scheme's single-session round, pinned bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Runs one session of `scheme` through the engine over the relaying
-/// broker and returns the member's outcome.
-fn engine_round<S: uncheatable_grid::task::Screener>(
+/// SHA-256 (hex) over everything a round measures. The digests were
+/// recorded from the per-scheme blocking drivers (one participant thread
+/// per slot over a private duplex link) before they were removed, so
+/// `run_scheme` must reproduce those rounds exactly, over either
+/// transport.
+const GOLDEN: [(&str, &str); 10] = [
+    (
+        "naive-honest",
+        "2e627214a19390bbcffca8d7364e6a1d1d889d6ab54d91bf3018fdbd4e9011eb",
+    ),
+    (
+        "naive-cheater",
+        "b8a428e5d725c276009472baa10734ebc5fed92c3856371f328f156c75a5f22c",
+    ),
+    (
+        "cbs-full",
+        "e3bdba659a4e782957c32590d6e13159fd625337dbca7a87c975d36d8d1171fd",
+    ),
+    (
+        "cbs-partial-3",
+        "dc2805015629cda39f15a82f57d44524d6abcc207da1a0006b0631be1a113607",
+    ),
+    (
+        "cbs-cheater",
+        "7decaa290f3966e27d949a148f30431efe68fcfe186b35593778c9e08b78f5a5",
+    ),
+    (
+        "cbs-malicious-audit-4",
+        "41081c3c7a0bc37d2db6847941b117a0e788d6dddeab21b96506fed5605c9d06",
+    ),
+    (
+        "ni-cbs",
+        "f033e20d80bcd844f487bd5abe142a7394419355d7c426cb17b32f0f5d0ab39e",
+    ),
+    (
+        "ringer",
+        "b927e15d27e378272bdd28338ed480d539bc727a11996afa370cacf79aa6f586",
+    ),
+    (
+        "double-check-honest",
+        "0ce1a32441de8a10829fe2044b341072ab631eb04252108a3bd946e8f0b78edf",
+    ),
+    (
+        "double-check-cheater",
+        "598e6419868f398346922f8c985fa3d13a8f90a7c56ba5ea8bb94bc0631f1cbb",
+    ),
+];
+
+fn outcome_digest(outcome: &RoundOutcome) -> String {
+    let text = format!(
+        "verdict {:?}\nlink {:?}\nsup {:?}\npart {:?}\nreports {:?}\n",
+        outcome.verdict,
+        outcome.supervisor_link,
+        outcome.supervisor_costs,
+        outcome.participant_costs,
+        outcome.reports
+    );
+    hex::encode(&Sha256::digest(text.as_bytes()))
+}
+
+/// Runs golden case `name` over direct links and through the broker,
+/// on the default worker pool and on pools of 1 and 4 workers, asserts
+/// every run reproduces the recorded digest, and returns the outcome.
+fn assert_golden<S: Screener>(
+    name: &str,
     task: &PasswordSearch,
     screener: &S,
     domain: Domain,
     scheme: &dyn VerificationScheme<Sha256>,
-    behaviours: Vec<&dyn WorkerBehaviour>,
+    behaviours: &[&dyn WorkerBehaviour],
     storage: ParticipantStorage,
 ) -> RoundOutcome {
-    let members = vec![MemberSpec { scheme, behaviours }];
-    let summary = run_mixed_fleet(
-        task,
-        screener,
-        domain,
-        &members,
-        &MixedFleetConfig {
-            storage,
-            transport: FleetTransport::Brokered,
-            ..MixedFleetConfig::default()
-        },
-    )
-    .unwrap();
-    summary.members.into_iter().next().unwrap().outcome
-}
-
-/// Bit-identity across everything a round measures.
-fn assert_outcomes_identical(name: &str, legacy: &RoundOutcome, engine: &RoundOutcome) {
-    assert_eq!(legacy.verdict, engine.verdict, "{name}: verdict diverged");
-    assert_eq!(
-        legacy.supervisor_link, engine.supervisor_link,
-        "{name}: supervisor byte counts diverged"
-    );
-    assert_eq!(
-        legacy.supervisor_costs, engine.supervisor_costs,
-        "{name}: supervisor ledger diverged"
-    );
-    assert_eq!(
-        legacy.participant_costs, engine.participant_costs,
-        "{name}: participant ledger diverged"
-    );
-    assert_eq!(legacy.reports, engine.reports, "{name}: reports diverged");
+    let (_, golden) = GOLDEN
+        .iter()
+        .find(|(case, _)| *case == name)
+        .unwrap_or_else(|| panic!("no golden digest for {name}"));
+    let mut last = None;
+    for transport in [FleetTransport::Direct, FleetTransport::Brokered] {
+        for workers in [None, Some(1), Some(4)] {
+            let config = MixedFleetConfig {
+                storage,
+                transport,
+                workers,
+                ..MixedFleetConfig::default()
+            };
+            let outcome = run_scheme(task, screener, domain, scheme, behaviours, &config).unwrap();
+            assert_eq!(
+                outcome_digest(&outcome),
+                *golden,
+                "{name} over {transport:?} with {workers:?} workers diverged from its golden round"
+            );
+            last = Some(outcome);
+        }
+    }
+    last.expect("at least one run")
 }
 
 #[test]
@@ -231,37 +272,27 @@ fn engine_matches_legacy_cbs() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
     let domain = Domain::new(0, 128);
-    for (storage, behaviour) in [
+    let scheme = CbsScheme {
+        samples: 16,
+        seed: 9,
+        report_audit: 2,
+    };
+    for (name, storage) in [
+        ("cbs-full", ParticipantStorage::Full),
         (
-            ParticipantStorage::Full,
-            &HonestWorker as &dyn WorkerBehaviour,
-        ),
-        (
+            "cbs-partial-3",
             ParticipantStorage::Partial { subtree_height: 3 },
-            &HonestWorker as &dyn WorkerBehaviour,
         ),
     ] {
-        let legacy = run_cbs::<Sha256, _, _, _>(
+        assert_golden(
+            name,
             &task,
             &screener,
             domain,
-            &behaviour,
+            &scheme,
+            &[&HonestWorker],
             storage,
-            &CbsConfig {
-                task_id: 0,
-                samples: 16,
-                seed: 9,
-                report_audit: 2,
-            },
-        )
-        .unwrap();
-        let scheme = CbsScheme {
-            samples: 16,
-            seed: 9,
-            report_audit: 2,
-        };
-        let engine = engine_round(&task, &screener, domain, &scheme, vec![behaviour], storage);
-        assert_outcomes_identical("cbs", &legacy, &engine);
+        );
     }
 }
 
@@ -269,108 +300,67 @@ fn engine_matches_legacy_cbs() {
 fn engine_matches_legacy_cbs_on_a_cheater() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 256);
     let cheater = SemiHonestCheater::new(0.3, CheatSelection::Scattered, ZeroGuesser::new(5), 11);
-    let legacy = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &cheater,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 0,
-            samples: 20,
-            seed: 4,
-            report_audit: 0,
-        },
-    )
-    .unwrap();
     let scheme = CbsScheme {
         samples: 20,
         seed: 4,
         report_audit: 0,
     };
-    let engine = engine_round(
+    let outcome = assert_golden(
+        "cbs-cheater",
         &task,
         &screener,
-        domain,
+        Domain::new(0, 256),
         &scheme,
-        vec![&cheater],
+        &[&cheater],
         ParticipantStorage::Full,
     );
-    assert!(!legacy.accepted);
-    assert_outcomes_identical("cbs-cheater", &legacy, &engine);
+    assert!(!outcome.accepted);
 }
 
 #[test]
 fn engine_matches_legacy_ni_cbs() {
     let task = PasswordSearch::with_hidden_password(5, 9);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    let legacy = run_ni_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        ParticipantStorage::Full,
-        &NiCbsConfig {
-            task_id: 0,
-            samples: 10,
-            g_iterations: 3,
-            report_audit: 1,
-            audit_seed: 6,
-        },
-    )
-    .unwrap();
     let scheme = NiCbsScheme {
         samples: 10,
         g_iterations: 3,
         report_audit: 1,
         audit_seed: 6,
     };
-    let engine = engine_round(
+    assert_golden(
+        "ni-cbs",
         &task,
         &screener,
-        domain,
+        Domain::new(0, 128),
         &scheme,
-        vec![&HonestWorker],
+        &[&HonestWorker],
         ParticipantStorage::Full,
     );
-    assert_outcomes_identical("ni-cbs", &legacy, &engine);
 }
 
 #[test]
 fn engine_matches_legacy_naive() {
     let task = PasswordSearch::with_hidden_password(3, 40);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
     let cheater = SemiHonestCheater::new(0.4, CheatSelection::Scattered, ZeroGuesser::new(7), 5);
-    for behaviour in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
-        let legacy = run_naive(
+    let scheme = NaiveScheme {
+        samples: 12,
+        seed: 2,
+    };
+    for (name, behaviour) in [
+        ("naive-honest", &HonestWorker as &dyn WorkerBehaviour),
+        ("naive-cheater", &cheater),
+    ] {
+        assert_golden(
+            name,
             &task,
             &screener,
-            domain,
-            &behaviour,
-            &NaiveConfig {
-                task_id: 0,
-                samples: 12,
-                seed: 2,
-            },
-        )
-        .unwrap();
-        let scheme = NaiveScheme {
-            samples: 12,
-            seed: 2,
-        };
-        let engine = engine_round(
-            &task,
-            &screener,
-            domain,
+            Domain::new(0, 128),
             &scheme,
-            vec![behaviour],
+            &[behaviour],
             ParticipantStorage::Full,
         );
-        assert_outcomes_identical("naive", &legacy, &engine);
     }
 }
 
@@ -378,96 +368,62 @@ fn engine_matches_legacy_naive() {
 fn engine_matches_legacy_ringer() {
     let task = PasswordSearch::with_hidden_password(1, 10);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 128);
-    let legacy = run_ringer(
-        &task,
-        &screener,
-        domain,
-        &HonestWorker,
-        &RingerConfig {
-            task_id: 0,
-            ringers: 6,
-            seed: 3,
-        },
-    )
-    .unwrap();
     let scheme = RingerScheme {
         ringers: 6,
         seed: 3,
     };
-    let engine = engine_round(
+    assert_golden(
+        "ringer",
         &task,
         &screener,
-        domain,
+        Domain::new(0, 128),
         &scheme,
-        vec![&HonestWorker],
+        &[&HonestWorker],
         ParticipantStorage::Full,
     );
-    assert_outcomes_identical("ringer", &legacy, &engine);
 }
 
 #[test]
 fn engine_matches_legacy_double_check() {
     let task = PasswordSearch::with_hidden_password(1, 20);
     let screener = task.match_screener();
-    let domain = Domain::new(0, 64);
     let cheater = SemiHonestCheater::new(0.9, CheatSelection::Scattered, ZeroGuesser::new(2), 3);
-    for replica_b in [&HonestWorker as &dyn WorkerBehaviour, &cheater] {
-        let legacy = run_double_check(
+    for (name, replica_b) in [
+        ("double-check-honest", &HonestWorker as &dyn WorkerBehaviour),
+        ("double-check-cheater", &cheater),
+    ] {
+        assert_golden(
+            name,
             &task,
             &screener,
-            domain,
-            &HonestWorker,
-            &replica_b,
-            &DoubleCheckConfig { task_id: 0 },
-        )
-        .unwrap();
-        let engine = engine_round(
-            &task,
-            &screener,
-            domain,
+            Domain::new(0, 64),
             &DoubleCheckScheme,
-            vec![&HonestWorker, replica_b],
+            &[&HonestWorker, replica_b],
             ParticipantStorage::Full,
         );
-        assert_outcomes_identical("double-check", &legacy, &engine);
     }
 }
 
 #[test]
 fn engine_matches_legacy_with_a_corrupting_malicious_worker() {
-    // The malicious model needs the report-audit extension; prove the
-    // engine path rejects it exactly like the legacy path.
+    // The malicious model needs the report-audit extension; the golden
+    // round pins the rejection it earns.
     let task = PasswordSearch::with_hidden_password(3, 10);
     let screener = uncheatable_grid::task::AcceptAllScreener;
     let malicious = MaliciousWorker::new(1.0, 8);
-    let legacy = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 64),
-        &malicious,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 0,
-            samples: 10,
-            seed: 6,
-            report_audit: 4,
-        },
-    )
-    .unwrap();
     let scheme = CbsScheme {
         samples: 10,
         seed: 6,
         report_audit: 4,
     };
-    let engine = engine_round(
+    let outcome = assert_golden(
+        "cbs-malicious-audit-4",
         &task,
         &screener,
         Domain::new(0, 64),
         &scheme,
-        vec![&malicious],
+        &[&malicious],
         ParticipantStorage::Full,
     );
-    assert!(!legacy.accepted);
-    assert_outcomes_identical("cbs-malicious", &legacy, &engine);
+    assert!(!outcome.accepted);
 }

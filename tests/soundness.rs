@@ -3,17 +3,36 @@
 //! and hash functions.
 
 use proptest::prelude::*;
-use uncheatable_grid::core::scheme::cbs::{run_cbs, CbsConfig};
-use uncheatable_grid::core::scheme::double_check::{run_double_check, DoubleCheckConfig};
-use uncheatable_grid::core::scheme::naive::{run_naive, NaiveConfig};
-use uncheatable_grid::core::scheme::ni_cbs::{run_ni_cbs, NiCbsConfig};
-use uncheatable_grid::core::scheme::ringer::{run_ringer, RingerConfig};
-use uncheatable_grid::core::ParticipantStorage;
-use uncheatable_grid::grid::HonestWorker;
-use uncheatable_grid::hash::{Md5, Sha1, Sha256};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::scheme::double_check::DoubleCheckScheme;
+use uncheatable_grid::core::scheme::naive::NaiveScheme;
+use uncheatable_grid::core::scheme::ni_cbs::NiCbsScheme;
+use uncheatable_grid::core::scheme::ringer::RingerScheme;
+use uncheatable_grid::core::{
+    run_scheme, MixedFleetConfig, ParticipantStorage, RoundOutcome, SchemeError, VerificationScheme,
+};
+use uncheatable_grid::grid::{HonestWorker, WorkerBehaviour};
+use uncheatable_grid::hash::{HashFunction, Md5, Sha1, Sha256};
 use uncheatable_grid::merkle::tree_height;
 use uncheatable_grid::task::workloads::PasswordSearch;
 use uncheatable_grid::task::Domain;
+
+/// One round of `scheme` over `domain` with an honest participant in
+/// every slot, participants keeping `storage`.
+fn honest_round<H: HashFunction>(
+    task: &PasswordSearch,
+    domain: Domain,
+    scheme: &dyn VerificationScheme<H>,
+    storage: ParticipantStorage,
+) -> Result<RoundOutcome, SchemeError> {
+    let screener = task.match_screener();
+    let honest: Vec<&dyn WorkerBehaviour> = vec![&HonestWorker; scheme.participant_slots()];
+    let config = MixedFleetConfig {
+        storage,
+        ..MixedFleetConfig::default()
+    };
+    run_scheme(task, &screener, domain, scheme, &honest, &config)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -21,14 +40,12 @@ proptest! {
     #[test]
     fn cbs_accepts_honest(n in 1u64..300, m in 1usize..40, seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, n / 2);
-        let screener = task.match_screener();
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let scheme = CbsScheme { samples: m, seed, report_audit: 2 };
+        let outcome = honest_round::<Sha256>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
+            &scheme,
             ParticipantStorage::Full,
-            &CbsConfig { task_id: 1, samples: m, seed, report_audit: 2 },
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -37,16 +54,14 @@ proptest! {
     fn cbs_partial_accepts_honest(n in 2u64..300, m in 1usize..20,
                                   ell_seed in any::<u32>(), seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, 0);
-        let screener = task.match_screener();
         let height = tree_height(n);
         let ell = 1 + ell_seed % height;
-        let outcome = run_cbs::<Sha256, _, _, _>(
+        let scheme = CbsScheme { samples: m, seed, report_audit: 0 };
+        let outcome = honest_round::<Sha256>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
+            &scheme,
             ParticipantStorage::Partial { subtree_height: ell },
-            &CbsConfig { task_id: 1, samples: m, seed, report_audit: 0 },
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -55,20 +70,17 @@ proptest! {
     fn ni_cbs_accepts_honest(n in 1u64..300, m in 1usize..40,
                              k in 1u64..8, seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, 0);
-        let screener = task.match_screener();
-        let outcome = run_ni_cbs::<Md5, _, _, _>(
+        let scheme = NiCbsScheme {
+            samples: m,
+            g_iterations: k,
+            report_audit: 1,
+            audit_seed: seed,
+        };
+        let outcome = honest_round::<Md5>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
+            &scheme,
             ParticipantStorage::Full,
-            &NiCbsConfig {
-                task_id: 1,
-                samples: m,
-                g_iterations: k,
-                report_audit: 1,
-                audit_seed: seed,
-            },
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -76,13 +88,12 @@ proptest! {
     #[test]
     fn naive_accepts_honest(n in 1u64..300, m in 1usize..40, seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, 0);
-        let screener = task.match_screener();
-        let outcome = run_naive(
+        let scheme = NaiveScheme { samples: m, seed };
+        let outcome = honest_round::<Sha256>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
-            &NaiveConfig { task_id: 1, samples: m, seed },
+            &scheme,
+            ParticipantStorage::Full,
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -90,13 +101,12 @@ proptest! {
     #[test]
     fn ringer_accepts_honest(n in 8u64..300, d in 1usize..8, seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, 1);
-        let screener = task.match_screener();
-        let outcome = run_ringer(
+        let scheme = RingerScheme { ringers: d, seed };
+        let outcome = honest_round::<Sha256>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
-            &RingerConfig { task_id: 1, ringers: d, seed },
+            &scheme,
+            ParticipantStorage::Full,
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -104,14 +114,11 @@ proptest! {
     #[test]
     fn double_check_accepts_honest_pair(n in 1u64..200, seed in any::<u64>()) {
         let task = PasswordSearch::with_hidden_password(seed, 0);
-        let screener = task.match_screener();
-        let outcome = run_double_check(
+        let outcome = honest_round::<Sha256>(
             &task,
-            &screener,
             Domain::new(0, n),
-            &HonestWorker,
-            &HonestWorker,
-            &DoubleCheckConfig { task_id: 1 },
+            &DoubleCheckScheme,
+            ParticipantStorage::Full,
         ).unwrap();
         prop_assert!(outcome.accepted);
     }
@@ -120,49 +127,26 @@ proptest! {
 #[test]
 fn soundness_holds_for_every_hash_function() {
     let task = PasswordSearch::with_hidden_password(4, 8);
-    let screener = task.match_screener();
     let domain = Domain::new(0, 100);
-    let config = CbsConfig {
-        task_id: 1,
+    let scheme = CbsScheme {
         samples: 12,
         seed: 9,
         report_audit: 0,
     };
     assert!(
-        run_cbs::<Md5, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &config
-        )
-        .unwrap()
-        .accepted
+        honest_round::<Md5>(&task, domain, &scheme, ParticipantStorage::Full)
+            .unwrap()
+            .accepted
     );
     assert!(
-        run_cbs::<Sha1, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &config
-        )
-        .unwrap()
-        .accepted
+        honest_round::<Sha1>(&task, domain, &scheme, ParticipantStorage::Full)
+            .unwrap()
+            .accepted
     );
     assert!(
-        run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            domain,
-            &HonestWorker,
-            ParticipantStorage::Full,
-            &config
-        )
-        .unwrap()
-        .accepted
+        honest_round::<Sha256>(&task, domain, &scheme, ParticipantStorage::Full)
+            .unwrap()
+            .accepted
     );
 }
 
@@ -170,19 +154,16 @@ fn soundness_holds_for_every_hash_function() {
 fn soundness_holds_for_offset_domains() {
     // Domains need not start at zero (participants get sub-ranges).
     let task = PasswordSearch::with_hidden_password(4, 5_000_010);
-    let screener = task.match_screener();
-    let outcome = run_cbs::<Sha256, _, _, _>(
+    let scheme = CbsScheme {
+        samples: 10,
+        seed: 3,
+        report_audit: 0,
+    };
+    let outcome = honest_round::<Sha256>(
         &task,
-        &screener,
         Domain::new(5_000_000, 64),
-        &HonestWorker,
+        &scheme,
         ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
-            samples: 10,
-            seed: 3,
-            report_audit: 0,
-        },
     )
     .unwrap();
     assert!(outcome.accepted);

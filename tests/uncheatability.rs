@@ -3,15 +3,56 @@
 
 use proptest::prelude::*;
 use uncheatable_grid::core::analysis::cheat_success_probability;
-use uncheatable_grid::core::scheme::cbs::{participant_cbs, run_cbs, supervisor_cbs, CbsConfig};
-use uncheatable_grid::core::{ParticipantStorage, Verdict};
+use uncheatable_grid::core::scheme::cbs::CbsScheme;
+use uncheatable_grid::core::session::{drive_participant, drive_supervisor};
+use uncheatable_grid::core::{
+    run_scheme, LaneWidth, MixedFleetConfig, Parallelism, ParticipantContext, ParticipantStorage,
+    RoundOutcome, SchemeError, SessionOutcome, SupervisorContext, Verdict, VerificationScheme,
+};
 use uncheatable_grid::grid::{
-    duplex, CheatSelection, CostLedger, HonestWorker, Message, SemiHonestCheater,
+    duplex, CheatSelection, CostLedger, Endpoint, HonestWorker, Message, SemiHonestCheater,
+    WorkerBehaviour,
 };
 use uncheatable_grid::hash::{HashFunction, Sha256};
 use uncheatable_grid::merkle::MerkleTree;
 use uncheatable_grid::task::workloads::PasswordSearch;
-use uncheatable_grid::task::{ComputeTask, Domain, LuckyGuesser, ZeroGuesser};
+use uncheatable_grid::task::{ComputeTask, Domain, LuckyGuesser, Screener, ZeroGuesser};
+
+/// One CBS round through the session engine, full participant storage.
+fn cbs_round<S: Screener>(
+    task: &PasswordSearch,
+    screener: &S,
+    domain: Domain,
+    behaviour: &dyn WorkerBehaviour,
+    scheme: &CbsScheme,
+) -> Result<RoundOutcome, SchemeError> {
+    let config = MixedFleetConfig::default();
+    run_scheme::<Sha256, _, _>(task, screener, domain, scheme, &[behaviour], &config)
+}
+
+/// Drives the CBS supervisor session for wire task `task_id` over a
+/// blocking endpoint, so a hand-written peer sees every message.
+fn cbs_supervisor(
+    endpoint: &Endpoint,
+    task: &PasswordSearch,
+    domain: Domain,
+    task_id: u64,
+    scheme: &CbsScheme,
+    ledger: &CostLedger,
+) -> Result<SessionOutcome, SchemeError> {
+    let screener = task.match_screener();
+    let mut session = VerificationScheme::<Sha256>::supervisor_session(
+        scheme,
+        SupervisorContext {
+            task,
+            screener: &screener,
+            domain,
+            task_ids: vec![task_id],
+            ledger: ledger.clone(),
+        },
+    );
+    drive_supervisor(endpoint, session.as_mut())
+}
 
 /// A cheater with r = 0 and q = 0 must be caught by any sample.
 #[test]
@@ -21,20 +62,12 @@ fn fully_lazy_cheater_always_caught() {
     for seed in 0..10u64 {
         let cheater =
             SemiHonestCheater::new(0.0, CheatSelection::Prefix, ZeroGuesser::new(seed), seed);
-        let outcome = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 64),
-            &cheater,
-            ParticipantStorage::Full,
-            &CbsConfig {
-                task_id: 1,
-                samples: 1,
-                seed,
-                report_audit: 0,
-            },
-        )
-        .unwrap();
+        let scheme = CbsScheme {
+            samples: 1,
+            seed,
+            report_audit: 0,
+        };
+        let outcome = cbs_round(&task, &screener, Domain::new(0, 64), &cheater, &scheme).unwrap();
         assert!(!outcome.accepted, "seed {seed}");
     }
 }
@@ -93,21 +126,14 @@ fn post_challenge_recomputation_detected() {
                 .unwrap();
             let _ = part_ep.recv();
         });
-        let screener = task.match_screener();
-        let (verdict, _) = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &task,
-            &screener,
-            domain,
-            &CbsConfig {
-                task_id: 1,
-                samples: 5,
-                seed: 2,
-                report_audit: 0,
-            },
-            &ledger,
-        )
-        .unwrap();
+        let scheme = CbsScheme {
+            samples: 5,
+            seed: 2,
+            report_audit: 0,
+        };
+        let verdict = cbs_supervisor(&sup_ep, &task, domain, 1, &scheme, &ledger)
+            .unwrap()
+            .verdict;
         // Correct f(x) but Φ(R′) ≠ Φ(R): caught by the commitment check.
         assert!(matches!(verdict, Verdict::CommitmentMismatch { .. }));
     });
@@ -126,14 +152,24 @@ fn commitment_is_binding_across_the_wire() {
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let screener = task.match_screener();
-            let _ = participant_cbs::<Sha256, _, _, _>(
-                &part_ep,
-                &task,
-                &screener,
-                &HonestWorker,
-                ParticipantStorage::Full,
-                &part_ledger,
+            let scheme = CbsScheme {
+                samples: 3,
+                seed: 4,
+                report_audit: 0,
+            };
+            let mut session = VerificationScheme::<Sha256>::participant_session(
+                &scheme,
+                ParticipantContext {
+                    task: &task,
+                    screener: &screener,
+                    behaviour: &HonestWorker,
+                    storage: ParticipantStorage::Full,
+                    parallelism: Parallelism::default(),
+                    lanes: LaneWidth::default(),
+                    ledger: part_ledger.clone(),
+                },
             );
+            let _ = drive_participant(&part_ep, session.as_mut());
         });
         // The MITM relays everything except the commitment, which it
         // replaces with its own digest.
@@ -158,21 +194,14 @@ fn commitment_is_binding_across_the_wire() {
             let verdict = mitm_sup.recv().unwrap();
             mitm_part.send(&verdict).unwrap();
         });
-        let screener = task.match_screener();
-        let (verdict, _) = supervisor_cbs::<Sha256, _, _>(
-            &sup_ep,
-            &task,
-            &screener,
-            domain,
-            &CbsConfig {
-                task_id: 9,
-                samples: 3,
-                seed: 4,
-                report_audit: 0,
-            },
-            &sup_ledger,
-        )
-        .unwrap();
+        let scheme = CbsScheme {
+            samples: 3,
+            seed: 4,
+            report_audit: 0,
+        };
+        let verdict = cbs_supervisor(&sup_ep, &task, domain, 9, &scheme, &sup_ledger)
+            .unwrap()
+            .verdict;
         assert!(matches!(verdict, Verdict::CommitmentMismatch { .. }));
     });
 }
@@ -196,14 +225,8 @@ proptest! {
             ZeroGuesser::new(seed),
             seed,
         );
-        let outcome = run_cbs::<Sha256, _, _, _>(
-            &task,
-            &screener,
-            Domain::new(0, 128),
-            &cheater,
-            ParticipantStorage::Full,
-            &CbsConfig { task_id: 1, samples: 48, seed, report_audit: 0 },
-        ).unwrap();
+        let scheme = CbsScheme { samples: 48, seed, report_audit: 0 };
+        let outcome = cbs_round(&task, &screener, Domain::new(0, 128), &cheater, &scheme).unwrap();
         prop_assert!(!outcome.accepted);
     }
 }
@@ -217,20 +240,12 @@ fn perfect_guessers_survive_as_theorem3_predicts() {
     let screener = task.match_screener();
     let guesser = LuckyGuesser::new(task.clone(), 1.0, 5);
     let cheater = SemiHonestCheater::new(0.0, CheatSelection::Prefix, guesser, 5);
-    let outcome = run_cbs::<Sha256, _, _, _>(
-        &task,
-        &screener,
-        Domain::new(0, 64),
-        &cheater,
-        ParticipantStorage::Full,
-        &CbsConfig {
-            task_id: 1,
-            samples: 20,
-            seed: 6,
-            report_audit: 0,
-        },
-    )
-    .unwrap();
+    let scheme = CbsScheme {
+        samples: 20,
+        seed: 6,
+        report_audit: 0,
+    };
+    let outcome = cbs_round(&task, &screener, Domain::new(0, 64), &cheater, &scheme).unwrap();
     assert!(outcome.accepted);
     assert_eq!(cheat_success_probability(0.0, 1.0, 20), 1.0);
 }
